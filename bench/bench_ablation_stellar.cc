@@ -1,9 +1,6 @@
 // Ablation study of Stellar's design choices (DESIGN.md §3):
 //   1. phase breakdown — where the time goes per distribution;
-//   2. dominance-matrix materialization vs on-the-fly recomputation
-//      (the Property 1 storage trade-off of §5.1);
-//   3. full-space skyline algorithm choice (BNL / SFS / DC / LESS);
-//   4. Skyey with and without parent-candidate sharing (the "shared sorted
+//   2. Skyey with and without parent-candidate sharing (the "shared sorted
 //      lists" device).
 //
 // Flags: --tuples=N (default 20000; --full → 100000), --seed=S.
@@ -56,44 +53,7 @@ int main(int argc, char** argv) {
   EmitTable(phases);
   json.AddTable("phase_breakdown", phases);
 
-  // 2. Matrix materialization.
-  std::printf("--- dominance matrix: materialized vs on-the-fly ---\n");
-  TablePrinter matrix({"workload", "materialized_sec", "on_the_fly_sec"});
-  for (const auto& w : workloads) {
-    const Dataset data =
-        PaperSynthetic(w.distribution, tuples, w.dims, seed);
-    StellarOptions mat;
-    mat.matrix_mode = StellarOptions::MatrixMode::kMaterialize;
-    StellarOptions fly;
-    fly.matrix_mode = StellarOptions::MatrixMode::kOnTheFly;
-    const double mat_sec = TimeIt([&] { ComputeStellar(data, mat); });
-    const double fly_sec = TimeIt([&] { ComputeStellar(data, fly); });
-    matrix.NewRow()
-        .AddCell(DistributionName(w.distribution))
-        .AddDouble(mat_sec, 4)
-        .AddDouble(fly_sec, 4);
-  }
-  EmitTable(matrix);
-  json.AddTable("matrix_mode", matrix);
-
-  // 3. Full-space skyline algorithm.
-  std::printf("--- step-1 skyline algorithm choice ---\n");
-  TablePrinter algos(
-      {"workload", "BNL", "SFS", "DC", "LESS", "Index", "BBS"});
-  for (const auto& w : workloads) {
-    const Dataset data =
-        PaperSynthetic(w.distribution, tuples, w.dims, seed);
-    algos.NewRow().AddCell(DistributionName(w.distribution));
-    for (SkylineAlgorithm algorithm : kAllSkylineAlgorithms) {
-      StellarOptions options;
-      options.skyline_algorithm = algorithm;
-      algos.AddDouble(TimeIt([&] { ComputeStellar(data, options); }), 4);
-    }
-  }
-  EmitTable(algos);
-  json.AddTable("skyline_algorithm", algos);
-
-  // 4. Skyey candidate sharing.
+  // 2. Skyey candidate sharing.
   std::printf("--- Skyey: parent-candidate sharing on/off ---\n");
   TablePrinter sharing({"workload", "shared_sec", "fresh_sec"});
   for (const auto& w : workloads) {

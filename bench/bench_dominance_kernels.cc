@@ -9,13 +9,11 @@
 //
 // Flags: --n=N (objects, default 1024), --dims=D (default 16), --reps=R
 // (default 5), --seed=S, --json[=PATH].
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/bitset.h"
 #include "dataset/ranked_view.h"
 #include "skyline/dominance.h"
 #include "skyline/dominance_kernels.h"
@@ -86,35 +84,6 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Batch bitmap: DominatedBitmap per outer object.
-  const double batch_bitmap_sec = best_of([&] {
-    for (size_t i = 0; i < n; ++i) {
-      DynamicBitset bitmap(n);
-      DominatedBitmap(view, static_cast<ObjectId>(i), ids.data(), n, full,
-                      &bitmap);
-      sink += bitmap.Count();
-    }
-  });
-
-  // Matrix build: scalar DominanceMask cells vs the tiled kernel.
-  std::vector<DimMask> matrix(n * n);
-  const double scalar_matrix_sec = best_of([&] {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        matrix[i * n + j] = data.DominanceMask(ids[i], ids[j], full);
-      }
-    }
-    sink += matrix[n / 2];
-  });
-  constexpr size_t kJTile = 1024;
-  const double tile_matrix_sec = best_of([&] {
-    for (size_t j0 = 0; j0 < n; j0 += kJTile) {
-      const size_t j1 = std::min(j0 + kJTile, n);
-      PairwiseDominanceTile(block, 0, n, j0, j1, matrix.data() + j0, n);
-    }
-    sink += matrix[n / 2];
-  });
-
   TablePrinter table({"kernel", "sec", "ns_per_cmp", "speedup_vs_scalar"});
   auto add = [&](const char* name, double sec, double baseline) {
     table.NewRow()
@@ -126,13 +95,9 @@ int main(int argc, char** argv) {
   add("scalar CompareRows", scalar_sec, scalar_sec);
   add("ranked CompareRanked", ranked_pair_sec, scalar_sec);
   add("batch BlockDominatedFlags", batch_flags_sec, scalar_sec);
-  add("batch DominatedBitmap", batch_bitmap_sec, scalar_sec);
-  add("scalar DominanceMask matrix", scalar_matrix_sec, scalar_matrix_sec);
-  add("tiled PairwiseDominanceTile", tile_matrix_sec, scalar_matrix_sec);
   EmitTable(table);
   json.AddTable("kernels", table);
   json.AddScalar("batch_speedup", scalar_sec / batch_flags_sec);
-  json.AddScalar("matrix_speedup", scalar_matrix_sec / tile_matrix_sec);
   std::printf("(sink=%llu)\n",
               static_cast<unsigned long long>(sink & 0xff));
   return 0;

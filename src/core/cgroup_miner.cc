@@ -24,36 +24,33 @@ struct Frame {
 
 class Miner {
  public:
-  explicit Miner(const PairwiseMasks& masks) : masks_(masks) {}
+  Miner(uint32_t root, const std::vector<DimMask>& coincidence,
+        std::vector<MaximalCGroup>* out)
+      : root_(root), co_(coincidence), out_(out) {}
 
-  std::vector<MaximalCGroup> Run() {
-    const size_t n = masks_.size();
-    for (uint32_t root = 0; root < n; ++root) {
-      Frame frame;
-      frame.group = {root};
-      frame.subspace = masks_.universe();
-      frame.pool.reserve(n - 1);
-      frame.candidates.reserve(n > root ? n - root - 1 : 0);
-      for (uint32_t o = 0; o < n; ++o) {
-        if (o == root) continue;
-        if ((masks_.Coincidence(root, o) & frame.subspace) != 0) {
-          frame.pool.push_back(o);
-          if (o > root) frame.candidates.push_back(o);
-        }
+  void Run(DimMask universe) {
+    const size_t n = co_.size();
+    Frame frame;
+    frame.group = {root_};
+    frame.subspace = universe;
+    frame.pool.reserve(n - 1);
+    frame.candidates.reserve(n - root_ - 1);
+    for (uint32_t o = 0; o < n; ++o) {
+      if (o == root_) continue;
+      if ((co_[o] & frame.subspace) != 0) {
+        frame.pool.push_back(o);
+        if (o > root_) frame.candidates.push_back(o);
       }
-      Search(root, std::move(frame));
     }
-    return std::move(out_);
+    Search(std::move(frame));
   }
 
  private:
-  void Search(uint32_t root, Frame frame) {
+  void Search(Frame frame) {
     // Closure: absorb every pool object sharing the whole of B.
     std::vector<uint32_t> closure;
     for (uint32_t o : frame.pool) {
-      if (IsSubsetOf(frame.subspace, masks_.Coincidence(root, o))) {
-        closure.push_back(o);
-      }
+      if (IsSubsetOf(frame.subspace, co_[o])) closure.push_back(o);
     }
     // Prune if the closure reaches outside the candidate set: the closed
     // group's smallest generating path runs through another branch.
@@ -70,12 +67,11 @@ class Miner {
       EraseSorted(&frame.pool, closure);
       EraseSorted(&frame.candidates, closure);
     }
-    out_.push_back({frame.group, frame.subspace});
+    out_->push_back({frame.group, frame.subspace});
 
     for (size_t j = 0; j < frame.candidates.size(); ++j) {
       const uint32_t added = frame.candidates[j];
-      const DimMask child_subspace =
-          masks_.Coincidence(root, added) & frame.subspace;
+      const DimMask child_subspace = co_[added] & frame.subspace;
       if (child_subspace == 0) continue;
       Frame child;
       child.subspace = child_subspace;
@@ -86,17 +82,13 @@ class Miner {
           added);
       for (uint32_t o : frame.pool) {
         if (o == added) continue;
-        if ((masks_.Coincidence(root, o) & child_subspace) != 0) {
-          child.pool.push_back(o);
-        }
+        if ((co_[o] & child_subspace) != 0) child.pool.push_back(o);
       }
       for (size_t k = j + 1; k < frame.candidates.size(); ++k) {
         const uint32_t o = frame.candidates[k];
-        if ((masks_.Coincidence(root, o) & child_subspace) != 0) {
-          child.candidates.push_back(o);
-        }
+        if ((co_[o] & child_subspace) != 0) child.candidates.push_back(o);
       }
-      Search(root, std::move(child));
+      Search(std::move(child));
     }
   }
 
@@ -109,20 +101,26 @@ class Miner {
     *from = std::move(kept);
   }
 
-  const PairwiseMasks& masks_;
-  std::vector<MaximalCGroup> out_;
+  const uint32_t root_;
+  const std::vector<DimMask>& co_;  // co(root_, ·)
+  std::vector<MaximalCGroup>* out_;
 };
 
 }  // namespace
 
-std::vector<MaximalCGroup> MineMaximalCGroups(const PairwiseMasks& masks) {
-  return Miner(masks).Run();
+void MineBranch(uint32_t root, const std::vector<DimMask>& coincidence,
+                DimMask universe, std::vector<MaximalCGroup>* out) {
+  Miner(root, coincidence, out).Run(universe);
 }
 
 std::vector<MaximalCGroup> MineMaximalCGroupsBruteForce(
-    const PairwiseMasks& masks) {
-  const size_t n = masks.size();
+    const Dataset& data, const std::vector<ObjectId>& seeds) {
+  const size_t n = seeds.size();
   SKYCUBE_CHECK_MSG(n <= 20, "brute-force miner is exponential; n ≤ 20 only");
+  const DimMask universe = data.full_mask();
+  auto co = [&](uint32_t a, uint32_t b) {
+    return data.CoincidenceMask(seeds[a], seeds[b], universe);
+  };
   // For every non-empty subset, compute its shared mask; a subset is a
   // maximal c-group iff its shared mask is non-empty and both closure
   // directions are fixed points. Deduplicate via (closure of the subset).
@@ -133,24 +131,18 @@ std::vector<MaximalCGroup> MineMaximalCGroupsBruteForce(
       if ((bits >> i) & 1) subset.push_back(i);
     }
     // Shared mask of the subset (pairwise coincidence against the first).
-    DimMask shared = masks.universe();
-    for (uint32_t member : subset) {
-      shared &= masks.Coincidence(subset.front(), member);
-    }
+    DimMask shared = universe;
+    for (uint32_t member : subset) shared &= co(subset.front(), member);
     if (shared == 0) continue;
     // Object closure: everything coinciding on the whole shared mask.
     std::vector<uint32_t> closure;
     for (uint32_t o = 0; o < n; ++o) {
-      if (IsSubsetOf(shared, masks.Coincidence(subset.front(), o))) {
-        closure.push_back(o);
-      }
+      if (IsSubsetOf(shared, co(subset.front(), o))) closure.push_back(o);
     }
     // Recompute the shared mask of the closure (it can only stay equal:
     // absorbed objects contain `shared`, but be defensive).
-    DimMask closed_mask = masks.universe();
-    for (uint32_t member : closure) {
-      closed_mask &= masks.Coincidence(closure.front(), member);
-    }
+    DimMask closed_mask = universe;
+    for (uint32_t member : closure) closed_mask &= co(closure.front(), member);
     closed.emplace(std::move(closure), closed_mask);
   }
   std::vector<MaximalCGroup> out;

@@ -15,7 +15,8 @@
 // before the branch), the node's group is found elsewhere and the branch is
 // pruned. Children extend G by one later object, intersecting B with its
 // coincidence mask. Each maximal c-group is emitted exactly once, in the
-// branch of its smallest member.
+// branch of its smallest member. A branch reads only its root's row of the
+// coincidence matrix.
 #ifndef SKYCUBE_CORE_CGROUP_MINER_H_
 #define SKYCUBE_CORE_CGROUP_MINER_H_
 
@@ -23,26 +24,33 @@
 #include <vector>
 
 #include "common/subspace.h"
-#include "core/pairwise_masks.h"
+#include "dataset/dataset.h"
 
 namespace skycube {
 
-/// A maximal c-group over the seed list. Indices are positions in the
-/// PairwiseMasks seed list (not raw ObjectIds).
+/// A maximal c-group over the seed list. Indices are positions in the seed
+/// list (not raw ObjectIds).
 struct MaximalCGroup {
   std::vector<uint32_t> member_indices;  // ascending
   DimMask subspace = 0;                  // exact shared mask B
 };
 
-/// Enumerates every maximal c-group of the seed objects (assuming the seeds
-/// are pairwise distinct in the full space; duplicates are still handled —
-/// bound objects simply appear together in every group).
-std::vector<MaximalCGroup> MineMaximalCGroups(const PairwiseMasks& masks);
+/// Runs the branch of seed `root` and appends, in search order, every
+/// maximal c-group whose smallest member is `root` to `out`.
+/// `coincidence` is row `root` of the coincidence matrix over all seeds
+/// (coincidence[j] = co(root, j), see SeedRows::Fill) and `universe` the
+/// full space. Seeds are assumed pairwise distinct in the full space;
+/// duplicates are still handled (bound objects appear together in every
+/// group). Over all roots, every maximal c-group is emitted exactly once.
+void MineBranch(uint32_t root, const std::vector<DimMask>& coincidence,
+                DimMask universe, std::vector<MaximalCGroup>* out);
 
 /// Reference implementation by direct closure of every subset's shared
-/// mask; exponential, used only by tests to validate the miner.
+/// mask, built on Dataset::CoincidenceMask over `seeds` (ids into `data`)
+/// so that it shares no code with the row pass; exponential, used only by
+/// tests to validate the miner.
 std::vector<MaximalCGroup> MineMaximalCGroupsBruteForce(
-    const PairwiseMasks& masks);
+    const Dataset& data, const std::vector<ObjectId>& seeds);
 
 }  // namespace skycube
 

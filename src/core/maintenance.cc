@@ -6,7 +6,7 @@
 
 #include "common/macros.h"
 #include "core/nonseed_extension.h"
-#include "core/pairwise_masks.h"
+#include "core/stellar.h"
 #include "dataset/duplicate_binding.h"
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
@@ -61,8 +61,7 @@ const char* DeletePathName(DeletePath path) {
 }
 
 SkylineGroupSet StellarOverLive(const Dataset& data,
-                                const std::vector<uint8_t>& live,
-                                const StellarOptions& options) {
+                                const std::vector<uint8_t>& live) {
   SKYCUBE_CHECK_MSG(live.size() == data.num_objects(),
                     "live flags must cover every row");
   Dataset compact(data.num_dims(), data.dim_names());
@@ -74,7 +73,7 @@ SkylineGroupSet StellarOverLive(const Dataset& data,
     compact.AddRow(row);
     original_id.push_back(id);
   }
-  SkylineGroupSet groups = ComputeStellar(compact, options);
+  SkylineGroupSet groups = ComputeStellar(compact);
   for (SkylineGroup& group : groups) {
     for (ObjectId& member : group.members) member = original_id[member];
   }
@@ -82,10 +81,8 @@ SkylineGroupSet StellarOverLive(const Dataset& data,
   return groups;
 }
 
-IncrementalCubeMaintainer::IncrementalCubeMaintainer(Dataset initial,
-                                                     StellarOptions options)
-    : options_(options),
-      data_(std::move(initial)),
+IncrementalCubeMaintainer::IncrementalCubeMaintainer(Dataset initial)
+    : data_(std::move(initial)),
       distinct_(data_.num_dims(), data_.dim_names()),
       live_(data_.num_objects(), 1),
       timestamps_(data_.num_objects(), 0),
@@ -96,9 +93,8 @@ IncrementalCubeMaintainer::IncrementalCubeMaintainer(Dataset initial,
 
 IncrementalCubeMaintainer::IncrementalCubeMaintainer(
     Dataset initial, std::vector<uint8_t> live,
-    std::vector<uint64_t> timestamps, StellarOptions options)
-    : options_(options),
-      data_(std::move(initial)),
+    std::vector<uint64_t> timestamps)
+    : data_(std::move(initial)),
       distinct_(data_.num_dims(), data_.dim_names()),
       live_(std::move(live)),
       timestamps_(std::move(timestamps)) {
@@ -153,14 +149,8 @@ void IncrementalCubeMaintainer::RebuildDistinctView(bool remap_seeds) {
 
 void IncrementalCubeMaintainer::RebuildFromScratch() {
   ++stats_.full_recomputes;
-  seeds_ = ComputeSkyline(distinct_, distinct_.full_mask(),
-                          options_.skyline_algorithm);
-  const bool materialize =
-      options_.matrix_mode == StellarOptions::MatrixMode::kMaterialize ||
-      (options_.matrix_mode == StellarOptions::MatrixMode::kAuto &&
-       seeds_.size() <= options_.materialize_max_seeds);
-  PairwiseMasks masks(distinct_, seeds_, distinct_.full_mask(), materialize);
-  seed_groups_ = BuildSeedSkylineGroups(masks);
+  seeds_ = ComputeSkyline(distinct_, distinct_.full_mask());
+  seed_groups_ = BuildSeedSkylineGroups(SeedRows(distinct_, seeds_));
   RerunExtension();
   --stats_.extension_reruns;  // counted by RerunExtension; not a path-3 event
 }

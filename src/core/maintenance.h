@@ -50,7 +50,6 @@
 #include "core/cube.h"
 #include "core/seed_lattice.h"
 #include "core/skyline_group.h"
-#include "core/stellar.h"
 #include "dataset/dataset.h"
 
 namespace skycube {
@@ -94,8 +93,7 @@ struct MaintenanceStats {
 /// equal after any mix of inserts, deletes, and expiry — the live-set
 /// invariant recovery and the crashtest check against.
 SkylineGroupSet StellarOverLive(const Dataset& data,
-                                const std::vector<uint8_t>& live,
-                                const StellarOptions& options = {});
+                                const std::vector<uint8_t>& live);
 
 /// Owns a growing dataset and keeps its compressed skyline cube current.
 /// Invariant after every operation:
@@ -104,16 +102,14 @@ class IncrementalCubeMaintainer {
  public:
   /// Builds the initial cube from `initial` with Stellar (all rows live,
   /// timestamps 0).
-  explicit IncrementalCubeMaintainer(Dataset initial,
-                                     StellarOptions options = {});
+  explicit IncrementalCubeMaintainer(Dataset initial);
 
   /// Restores a maintainer from checkpointed state: `initial` includes
   /// tombstoned rows, `live` flags which count (size == num_objects), and
   /// `timestamps` carries per-row ingest times in ms (size == num_objects;
   /// 0 = none). The cube is rebuilt from the live rows.
   IncrementalCubeMaintainer(Dataset initial, std::vector<uint8_t> live,
-                            std::vector<uint64_t> timestamps,
-                            StellarOptions options = {});
+                            std::vector<uint64_t> timestamps);
 
   /// Inserts one object (values.size() == num_dims) and updates the cube.
   /// Returns the path taken. `timestamp_ms` is the row's ingest time for
@@ -179,7 +175,6 @@ class IncrementalCubeMaintainer {
   /// projection on one of its decisive subspaces (w.r.t. F(S))?
   bool RelevantToSeedLattice(const std::vector<double>& row) const;
 
-  StellarOptions options_;
   uint64_t version_ = 1;
   Dataset data_;      // original rows, tombstones included
   Dataset distinct_;  // one row per distinct *live* tuple

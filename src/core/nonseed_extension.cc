@@ -10,7 +10,6 @@
 #include "common/macros.h"
 #include "common/parallel.h"
 #include "core/transversals.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -72,12 +71,10 @@ struct RelevantNonSeed {
 
 }  // namespace
 
-SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
-                                   const std::vector<ObjectId>& seeds,
-                                   const std::vector<SeedSkylineGroup>& seed_groups,
-                                   NonSeedExtensionStats* stats,
-                                   int num_threads,
-                                   const RankedView* ranked) {
+SkylineGroupSet ExtendWithNonSeeds(
+    const Dataset& data, const std::vector<ObjectId>& seeds,
+    const std::vector<SeedSkylineGroup>& seed_groups,
+    NonSeedExtensionStats* stats, int num_threads) {
   std::vector<char> is_seed(data.num_objects(), 0);
   for (ObjectId seed : seeds) is_seed[seed] = 1;
   const NonSeedValueIndex index(data, seeds, is_seed);
@@ -95,8 +92,6 @@ SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
 
   std::vector<RelevantNonSeed> relevant;
   std::vector<DimMask> edges;
-  std::vector<DimMask> mask_scratch;
-  std::vector<ObjectId> outside_ids;
   for (size_t group_index = begin; group_index < end; ++group_index) {
     const SeedSkylineGroup& seed_group = seed_groups[group_index];
     const DimMask b = seed_group.max_subspace;
@@ -117,25 +112,11 @@ SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
           best_size = size;
         }
       });
-      const std::vector<ObjectId>& matches =
-          index.Matches(best_dim, rep_row[best_dim]);
-      if (ranked != nullptr) {
-        // Batch kernel: one columnar sweep computes every candidate's share
-        // mask against the representative.
-        mask_scratch.resize(matches.size());
-        CoincidenceMasks(*ranked, representative, matches.data(),
-                         matches.size(), b, mask_scratch.data());
-        for (size_t c = 0; c < matches.size(); ++c) {
-          if (!IsSubsetOf(decisive, mask_scratch[c])) continue;
-          relevant.push_back({matches[c], mask_scratch[c]});
-        }
-      } else {
-        for (ObjectId candidate : matches) {
-          const DimMask share =
-              data.CoincidenceMask(candidate, representative, b);
-          if (!IsSubsetOf(decisive, share)) continue;
-          relevant.push_back({candidate, share});
-        }
+      for (ObjectId candidate : index.Matches(best_dim, rep_row[best_dim])) {
+        const DimMask share =
+            data.CoincidenceMask(candidate, representative, b);
+        if (!IsSubsetOf(decisive, share)) continue;
+        relevant.push_back({candidate, share});
       }
     }
     // Deduplicate (an object can qualify via several decisives).
@@ -208,28 +189,14 @@ SkylineGroupSet ExtendWithNonSeeds(const Dataset& data,
       // plus one edge per relevant non-seed outside the group (fact F4).
       edges.clear();
       for (DimMask edge : seed_group.reduced_edges) edges.push_back(edge & m);
-      outside_ids.clear();
-      for (const RelevantNonSeed& entry : relevant) {
-        if (IsSubsetOf(m, entry.share_mask)) continue;  // member of the group
-        outside_ids.push_back(entry.id);
-      }
       // A relevant non-seed outside the group cannot dominate or tie the
       // group value on m (it would otherwise be a member), so its edge is
       // non-empty; guard anyway.
-      if (ranked != nullptr) {
-        mask_scratch.resize(outside_ids.size());
-        DominanceMasks(*ranked, representative, outside_ids.data(),
-                       outside_ids.size(), m, mask_scratch.data());
-        for (DimMask edge : mask_scratch) {
-          SKYCUBE_DCHECK(edge != 0);
-          edges.push_back(edge);
-        }
-      } else {
-        for (ObjectId outside : outside_ids) {
-          const DimMask edge = data.DominanceMask(representative, outside, m);
-          SKYCUBE_DCHECK(edge != 0);
-          edges.push_back(edge);
-        }
+      for (const RelevantNonSeed& entry : relevant) {
+        if (IsSubsetOf(m, entry.share_mask)) continue;  // member of the group
+        const DimMask edge = data.DominanceMask(representative, entry.id, m);
+        SKYCUBE_DCHECK(edge != 0);
+        edges.push_back(edge);
       }
 
       SkylineGroup group;

@@ -30,7 +30,6 @@
 #include "core/seed_lattice.h"
 #include "core/skyline_group.h"
 #include "dataset/dataset.h"
-#include "dataset/ranked_view.h"
 
 namespace skycube {
 
@@ -45,15 +44,11 @@ struct NonSeedExtensionStats {
 /// `data`. Object ids in the result refer to `data` rows; projections are
 /// filled in. Non-seed lookup uses a per-dimension value index, built once.
 /// Per-seed-group work is parallelized over `num_threads` (0 = hardware
-/// threads); output is deterministic regardless of thread count. When
-/// `ranked` is non-null (it must view `data` and outlive the call),
-/// candidate share masks and outside-object edges are computed with the
-/// batch rank kernels; results are identical either way.
+/// threads); output is deterministic regardless of thread count.
 SkylineGroupSet ExtendWithNonSeeds(
     const Dataset& data, const std::vector<ObjectId>& seeds,
     const std::vector<SeedSkylineGroup>& seed_groups,
-    NonSeedExtensionStats* stats = nullptr, int num_threads = 1,
-    const RankedView* ranked = nullptr);
+    NonSeedExtensionStats* stats = nullptr, int num_threads = 1);
 
 }  // namespace skycube
 

@@ -9,9 +9,38 @@
 #include <vector>
 
 #include "common/subspace.h"
-#include "core/pairwise_masks.h"
+#include "dataset/dataset.h"
 
 namespace skycube {
+
+/// The seed objects F(S), gathered once into a column-major block of
+/// doubles. Stellar reads the dominance and coincidence matrices of the
+/// paper's §5.1 (Figure 4) one row at a time: every c-group probe of the
+/// Figure 6 search is co(root, ·), and every Corollary 1 edge scan is
+/// dom(root, ·) of the root that emitted the group. So rows are computed
+/// on demand and no |F(S)|² matrix is ever stored. Seeds are addressed by
+/// *seed index* (position in the seed list, not raw ObjectId).
+class SeedRows {
+ public:
+  /// Gathers the rows of `seeds` (ids into `data`) on every dimension.
+  SeedRows(const Dataset& data, const std::vector<ObjectId>& seeds);
+
+  size_t size() const { return num_seeds_; }
+  DimMask universe() const { return FullMask(num_dims_); }
+
+  /// Row `root` of both matrices, in one branch-free sweep over the
+  /// columns. Resizes `co` and `dom` to size(); for every seed j, co[j]
+  /// holds the dimensions where seeds `root` and j have equal values and
+  /// dom[j] those where seed `root`'s value is strictly smaller. So
+  /// co[root] = universe() and dom[root] = ∅.
+  void Fill(uint32_t root, std::vector<DimMask>* co,
+            std::vector<DimMask>* dom) const;
+
+ private:
+  int num_dims_;
+  size_t num_seeds_;
+  std::vector<double> values_;  // values_[dim * num_seeds_ + seed]
+};
 
 /// A seed skyline group (G, B) with decisive subspaces relative to F(S).
 struct SeedSkylineGroup {
@@ -36,15 +65,17 @@ struct SeedLatticeStats {
   uint64_t num_seed_skyline_groups = 0;   // after it
 };
 
-/// Computes all seed skyline groups from the pairwise masks over F(S):
-/// mines maximal c-groups (Figure 6), derives each group's decisive
-/// subspaces via minimal transversals (Corollary 1), and drops maximal
-/// c-groups with no non-empty decisive subspace — those are not skyline
-/// groups (paper's Algorithm Stellar, step 4). The per-group transversal
-/// derivation is parallelized over `num_threads` (0 = all hardware
-/// threads); results are deterministic regardless of thread count.
+/// Computes all seed skyline groups in one pass over the roots: for each
+/// seed it fills that root's two rows, mines the root's branch of the
+/// maximal c-group search (Figure 6) from the coincidence row, derives each
+/// emitted group's decisive subspaces from the dominance row via minimal
+/// transversals (Corollary 1), and drops maximal c-groups with no non-empty
+/// decisive subspace — those are not skyline groups (paper's Algorithm
+/// Stellar, step 4). Roots are split over `num_threads` (0 = all hardware
+/// threads); groups come out in root order, identical for every thread
+/// count.
 std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(
-    const PairwiseMasks& masks, SeedLatticeStats* stats = nullptr,
+    const SeedRows& rows, SeedLatticeStats* stats = nullptr,
     int num_threads = 1);
 
 /// Decisive subspaces for one group given its dominance edges within `b`:

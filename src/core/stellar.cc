@@ -1,36 +1,14 @@
 #include "core/stellar.h"
 
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "core/nonseed_extension.h"
-#include "core/pairwise_masks.h"
 #include "core/seed_lattice.h"
 #include "dataset/duplicate_binding.h"
-#include "dataset/ranked_view.h"
+#include "skyline/algorithms.h"
 
 namespace skycube {
-
-namespace {
-
-// Ranked-kernel engagement thresholds (empirical, bench_fig11/fig12):
-// below them the scalar path's smaller constants win and the RankedView
-// build never pays for itself. Results are identical either way.
-constexpr size_t kRankedMinObjects = 65536;
-constexpr int kRankedMinDims = 8;
-constexpr size_t kRankedMinSeeds = 1024;
-
-// Remaps distinct-row member ids back to original object ids.
-void ExpandBoundMembers(const DuplicateBinding& binding,
-                        SkylineGroupSet* groups) {
-  for (SkylineGroup& group : *groups) {
-    group.members = binding.Expand(group.members);
-  }
-}
-
-}  // namespace
 
 SkylineGroupSet ComputeStellar(const Dataset& data,
                                const StellarOptions& options,
@@ -41,78 +19,41 @@ SkylineGroupSet ComputeStellar(const Dataset& data,
   WallTimer phase_timer;
 
   // Paper §5 preprocessing: bind identical objects together.
-  std::optional<DuplicateBinding> binding;
-  const Dataset* working = &data;
-  if (options.bind_duplicates) {
-    binding.emplace(BindDuplicates(data));
-    working = &binding->distinct;
-  }
-  local_stats.num_distinct_objects = working->num_objects();
-
-  // Rank-compress when the dominance-heavy phases have enough work to
-  // repay the view build (identical results either way). Upfront only for
-  // big high-dimensional inputs, where the seed skyline and the non-seed
-  // extension dominate; otherwise the decision is revisited once the seed
-  // count is known (thresholds are empirical, from bench_fig11/fig12).
-  phase_timer.Reset();
-  std::optional<RankedView> ranked;
-  if (options.use_ranked_kernels &&
-      (options.force_ranked_kernels ||
-       (working->num_objects() >= kRankedMinObjects &&
-        working->num_dims() >= kRankedMinDims))) {
-    ranked.emplace(*working);
-  }
-  const RankedView* ranked_ptr = ranked.has_value() ? &*ranked : nullptr;
-  local_stats.seconds_ranked_view = phase_timer.ElapsedSeconds();
+  const DuplicateBinding binding = BindDuplicates(data);
+  const Dataset& working = binding.distinct;
+  local_stats.num_distinct_objects = working.num_objects();
 
   // Step 1: full-space skyline — the seed objects F(S).
   phase_timer.Reset();
-  std::vector<ObjectId> seeds =
-      ranked_ptr != nullptr
-          ? ComputeSkylineRanked(*ranked_ptr, working->full_mask(),
-                                 options.skyline_algorithm)
-          : ComputeSkyline(*working, working->full_mask(),
-                           options.skyline_algorithm);
+  const std::vector<ObjectId> seeds =
+      ComputeSkyline(working, working.full_mask());
   local_stats.num_seeds = seeds.size();
   local_stats.seconds_full_skyline = phase_timer.ElapsedSeconds();
 
-  // Late view build: with many seeds the pairwise matrices (Θ(|F|²·d))
-  // and the extension's per-seed-group scans dwarf the build cost.
-  if (!ranked.has_value() && options.use_ranked_kernels &&
-      seeds.size() >= kRankedMinSeeds) {
-    phase_timer.Reset();
-    ranked.emplace(*working);
-    ranked_ptr = &*ranked;
-    local_stats.seconds_ranked_view = phase_timer.ElapsedSeconds();
-  }
-
-  // Byproduct: dominance/coincidence matrices over F(S).
+  // Byproduct: the seeds, gathered for the per-root matrix rows.
   phase_timer.Reset();
-  const bool materialize =
-      options.matrix_mode == StellarOptions::MatrixMode::kMaterialize ||
-      (options.matrix_mode == StellarOptions::MatrixMode::kAuto &&
-       seeds.size() <= options.materialize_max_seeds);
-  PairwiseMasks masks(*working, seeds, working->full_mask(), materialize,
-                      options.num_threads, ranked_ptr);
+  const SeedRows rows(working, seeds);
   local_stats.seconds_matrices = phase_timer.ElapsedSeconds();
 
   // Steps 2–4: seed skyline groups and their decisive subspaces.
   phase_timer.Reset();
   SeedLatticeStats lattice_stats;
-  std::vector<SeedSkylineGroup> seed_groups =
-      BuildSeedSkylineGroups(masks, &lattice_stats, options.num_threads);
+  const std::vector<SeedSkylineGroup> seed_groups =
+      BuildSeedSkylineGroups(rows, &lattice_stats, options.num_threads);
   local_stats.num_maximal_cgroups = lattice_stats.num_maximal_cgroups;
   local_stats.num_seed_skyline_groups = lattice_stats.num_seed_skyline_groups;
   local_stats.seconds_seed_groups = phase_timer.ElapsedSeconds();
 
   // Step 5: accommodate non-seed objects.
   phase_timer.Reset();
-  SkylineGroupSet groups =
-      ExtendWithNonSeeds(*working, masks.objects(), seed_groups, nullptr,
-                         options.num_threads, ranked_ptr);
+  SkylineGroupSet groups = ExtendWithNonSeeds(working, seeds, seed_groups,
+                                              nullptr, options.num_threads);
   local_stats.seconds_nonseed = phase_timer.ElapsedSeconds();
 
-  if (binding.has_value()) ExpandBoundMembers(*binding, &groups);
+  // Remap distinct-row member ids back to original object ids.
+  for (SkylineGroup& group : groups) {
+    group.members = binding.Expand(group.members);
+  }
   NormalizeGroups(&groups);
   local_stats.num_groups = groups.size();
   local_stats.seconds_total = total_timer.ElapsedSeconds();

@@ -4,7 +4,8 @@
 // subspaces.
 //
 // Pipeline (paper Figure 7):
-//   1. full-space skyline F(S) + dominance/coincidence matrices (byproduct);
+//   1. full-space skyline F(S), gathered for the per-root rows of the
+//      dominance/coincidence matrices (byproduct);
 //   2. maximal c-groups over F(S) (set-enumeration closure search, Fig. 6);
 //   3. decisive subspaces per group via minimal transversals (Corollary 1);
 //   4. drop c-groups with no non-empty decisive subspace;
@@ -16,44 +17,21 @@
 
 #include "core/skyline_group.h"
 #include "dataset/dataset.h"
-#include "skyline/algorithms.h"
 
 namespace skycube {
 
-/// Tuning knobs for Stellar; the defaults reproduce the paper's algorithm.
+/// Tuning knobs for Stellar.
 struct StellarOptions {
-  /// Algorithm for the step-1 full-space skyline.
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSortFilterSkyline;
-
-  /// Whether to materialize the |F(S)|² dominance matrix (paper §5.1) or
-  /// recompute cells from rows on demand.
-  enum class MatrixMode { kAuto, kMaterialize, kOnTheFly };
-  MatrixMode matrix_mode = MatrixMode::kAuto;
-  /// kAuto materializes when |F(S)| ≤ this bound (4096² masks = 128 MiB).
-  size_t materialize_max_seeds = 4096;
-
-  /// Collapse identical rows first (paper §5 assumption). Disable only when
-  /// the input is known duplicate-free.
-  bool bind_duplicates = true;
-
-  /// Worker threads for the embarrassingly parallel phases (matrix
-  /// materialization, per-group decisive derivation, non-seed extension).
-  /// 1 = sequential (default, matches the paper's setting); 0 = all
-  /// hardware threads. Results are identical regardless of the value.
+  /// Worker threads for the embarrassingly parallel phases (the per-root
+  /// seed-lattice pass and the non-seed extension). 1 = sequential
+  /// (default, matches the paper's setting); 0 = all hardware threads.
+  /// Results are identical regardless of the value.
   int num_threads = 1;
-
-  /// Build a RankedView of the working dataset once and run the skyline
-  /// step, the pairwise matrices, and the non-seed extension on the
-  /// rank-compressed columnar kernels. Results are bit-for-bit identical to
-  /// the double-precision path (which remains as fallback and oracle).
-  bool use_ranked_kernels = true;
-  /// Skip the workload-size heuristics and always engage the ranked
-  /// kernels when use_ranked_kernels is set (used by equivalence tests to
-  /// exercise the ranked path on small inputs).
-  bool force_ranked_kernels = false;
 };
 
-/// Phase timings and counters of one Stellar run.
+/// Phase timings and counters of one Stellar run. Stellar builds no
+/// RankedView, so seconds_ranked_view stays 0; the field is kept for the
+/// readers of this struct (perfbench's dataset.ranked_view_s among them).
 struct StellarStats {
   uint64_t num_objects = 0;
   uint64_t num_distinct_objects = 0;
@@ -61,9 +39,9 @@ struct StellarStats {
   uint64_t num_maximal_cgroups = 0;        // step 2 output
   uint64_t num_seed_skyline_groups = 0;    // after step 4
   uint64_t num_groups = 0;                 // final cube size
-  double seconds_ranked_view = 0;          // RankedView construction
+  double seconds_ranked_view = 0;
   double seconds_full_skyline = 0;
-  double seconds_matrices = 0;
+  double seconds_matrices = 0;             // gathering the seed rows
   double seconds_seed_groups = 0;          // steps 2–4
   double seconds_nonseed = 0;              // step 5
   double seconds_total = 0;

@@ -92,17 +92,15 @@ RankedView::RankedView(const Dataset& data)
       num_dims_(data.num_dims()),
       num_objects_(data.num_objects()),
       ranks_(static_cast<size_t>(num_dims_) * num_objects_),
-      orders_(static_cast<size_t>(num_dims_) * num_objects_),
       num_distinct_(num_dims_, 0) {
-  // Per-dimension ranking via hash-distinct + sort-distinct + counting
-  // sort: O(n + k log k) per dimension for k distinct values, far cheaper
-  // than argsorting all n rows when values repeat — the paper's synthetic
-  // workloads truncate to a few decimals, capping k well below n.
+  // Per-dimension ranking via hash-distinct + sort-distinct: O(n + k log k)
+  // per dimension for k distinct values, far cheaper than argsorting all n
+  // rows when values repeat — the paper's synthetic workloads truncate to a
+  // few decimals, capping k well below n.
   FlatValueMap id_of;
   std::vector<double> distinct;
   std::vector<uint32_t> perm;       // argsort of `distinct`
   std::vector<uint32_t> rank_of;    // provisional id -> dense rank
-  std::vector<uint32_t> starts;     // counting-sort offsets
   for (int dim = 0; dim < num_dims_; ++dim) {
     id_of.Clear();
     distinct.clear();
@@ -126,15 +124,6 @@ RankedView::RankedView(const Dataset& data)
     rank_of.resize(k);
     for (uint32_t r = 0; r < k; ++r) rank_of[perm[r]] = r;
     for (size_t i = 0; i < num_objects_; ++i) ranks[i] = rank_of[ranks[i]];
-    // Counting sort by rank rebuilds the sorted order in O(n + k); walking
-    // ids in ascending order keeps ties in ascending id deterministically.
-    starts.assign(k + 1, 0);
-    for (size_t i = 0; i < num_objects_; ++i) ++starts[ranks[i] + 1];
-    for (size_t r = 1; r < starts.size(); ++r) starts[r] += starts[r - 1];
-    uint32_t* order = orders_.data() + static_cast<size_t>(dim) * num_objects_;
-    for (size_t i = 0; i < num_objects_; ++i) {
-      order[starts[ranks[i]]++] = static_cast<uint32_t>(i);
-    }
     num_distinct_[dim] = k;
   }
 }

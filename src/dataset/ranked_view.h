@@ -24,9 +24,7 @@
 namespace skycube {
 
 /// Dense per-dimension ranks of a Dataset, stored one contiguous column per
-/// dimension, plus the per-dimension sorted object orders the ranking pass
-/// produces as a byproduct (useful for sort-based presorting and index
-/// structures).
+/// dimension.
 class RankedView {
  public:
   /// Ranks every dimension of `data`. `data` must outlive the view.
@@ -55,13 +53,6 @@ class RankedView {
     return num_distinct_[dim];
   }
 
-  /// Object ids in ascending value order on `dim` (ties in ascending id
-  /// order) — the sorted lists SFS/LESS/index-method presorting consumes.
-  const uint32_t* SortedOrder(int dim) const {
-    SKYCUBE_DCHECK(dim >= 0 && dim < num_dims_);
-    return orders_.data() + static_cast<size_t>(dim) * num_objects_;
-  }
-
   /// Monotone SFS/LESS sort key over ranks: the rank sum over `subspace`.
   /// If u dominates v in `subspace` then RankSortKey(u) < RankSortKey(v)
   /// strictly (each rank is ≤ with at least one <).
@@ -71,34 +62,11 @@ class RankedView {
     return sum;
   }
 
-  /// Integer twin of Dataset::CoincidenceMask: dims of `universe` where `a`
-  /// and `b` share a value.
-  DimMask CoincidenceMask(ObjectId a, ObjectId b, DimMask universe) const {
-    DimMask mask = 0;
-    ForEachDim(universe, [&](int dim) {
-      const uint32_t* col = column(dim);
-      mask |= DimBit(dim) & (DimMask{0} - DimMask{col[a] == col[b]});
-    });
-    return mask;
-  }
-
-  /// Integer twin of Dataset::DominanceMask: dims of `universe` where `a`'s
-  /// value is strictly smaller than `b`'s.
-  DimMask DominanceMask(ObjectId a, ObjectId b, DimMask universe) const {
-    DimMask mask = 0;
-    ForEachDim(universe, [&](int dim) {
-      const uint32_t* col = column(dim);
-      mask |= DimBit(dim) & (DimMask{0} - DimMask{col[a] < col[b]});
-    });
-    return mask;
-  }
-
  private:
   const Dataset* data_;
   int num_dims_;
   size_t num_objects_;
-  std::vector<uint32_t> ranks_;   // dim-major: ranks_[dim * n + id]
-  std::vector<uint32_t> orders_;  // dim-major sorted object orders
+  std::vector<uint32_t> ranks_;  // dim-major: ranks_[dim * n + id]
   std::vector<uint32_t> num_distinct_;
 };
 

@@ -75,8 +75,8 @@ ShardedSkycubeService::ShardedSkycubeService(const Dataset& source,
   backend_ptrs.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     Shard shard;
-    shard.maintainer = std::make_unique<IncrementalCubeMaintainer>(
-        std::move(partitions[s]), options.stellar);
+    shard.maintainer =
+        std::make_unique<IncrementalCubeMaintainer>(std::move(partitions[s]));
     shard.handler =
         std::make_unique<MaintainerInsertHandler>(shard.maintainer.get());
     shard.service = std::make_unique<SkycubeService>(

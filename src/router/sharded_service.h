@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/maintenance.h"
-#include "core/stellar.h"
 #include "dataset/dataset.h"
 #include "router/partition.h"
 #include "router/scatter_gather.h"
@@ -61,8 +60,6 @@ struct ShardedServiceOptions {
   int ring_vnodes = 64;
   /// Per-shard service knobs (cache sizing, admission, ...).
   SkycubeServiceOptions service;
-  /// Per-shard cube construction knobs.
-  StellarOptions stellar;
   ScatterGatherOptions scatter;
 };
 

@@ -140,81 +140,4 @@ void RankedWindow::EvictDominatedBy(ObjectId target) {
   ids_.resize(keep);
 }
 
-void DominatedBitmap(const RankedView& view, ObjectId candidate,
-                     const ObjectId* ids, size_t count, DimMask subspace,
-                     DynamicBitset* out) {
-  SKYCUBE_DCHECK(out->size() >= count);
-  uint32_t ge[kTile];
-  uint32_t gt[kTile];
-  const std::vector<int> dims = MaskDims(subspace);
-  for (size_t base = 0; base < count; base += kTile) {
-    const size_t m = std::min(kTile, count - base);
-    for (size_t j = 0; j < m; ++j) ge[j] = 1;
-    for (size_t j = 0; j < m; ++j) gt[j] = 0;
-    uint32_t alive = 1;
-    for (size_t k = 0; k < dims.size() && alive != 0; ++k) {
-      const uint32_t* col = view.column(dims[k]);
-      const uint32_t r = col[candidate];
-      const ObjectId* id = ids + base;
-      alive = 0;
-      for (size_t j = 0; j < m; ++j) {
-        const uint32_t v = col[id[j]];
-        ge[j] &= static_cast<uint32_t>(r <= v);
-        gt[j] |= static_cast<uint32_t>(r < v);
-        alive |= ge[j];
-      }
-    }
-    for (size_t j = 0; j < m; ++j) {
-      if ((ge[j] & gt[j]) != 0) out->Set(base + j);
-    }
-  }
-}
-
-void CoincidenceMasks(const RankedView& view, ObjectId reference,
-                      const ObjectId* ids, size_t count, DimMask universe,
-                      DimMask* out) {
-  std::fill(out, out + count, DimMask{0});
-  ForEachDim(universe, [&](int dim) {
-    const uint32_t* col = view.column(dim);
-    const uint32_t r = col[reference];
-    const DimMask bit = DimBit(dim);
-    for (size_t j = 0; j < count; ++j) {
-      out[j] |= bit & (DimMask{0} - DimMask{col[ids[j]] == r});
-    }
-  });
-}
-
-void DominanceMasks(const RankedView& view, ObjectId reference,
-                    const ObjectId* ids, size_t count, DimMask universe,
-                    DimMask* out) {
-  std::fill(out, out + count, DimMask{0});
-  ForEachDim(universe, [&](int dim) {
-    const uint32_t* col = view.column(dim);
-    const uint32_t r = col[reference];
-    const DimMask bit = DimBit(dim);
-    for (size_t j = 0; j < count; ++j) {
-      out[j] |= bit & (DimMask{0} - DimMask{r < col[ids[j]]});
-    }
-  });
-}
-
-void PairwiseDominanceTile(const RankedBlock& block, size_t i_begin,
-                           size_t i_end, size_t j_begin, size_t j_end,
-                           DimMask* dom, size_t stride) {
-  const int num_dims = block.num_packed_dims();
-  const size_t width = j_end - j_begin;
-  for (size_t i = i_begin; i < i_end; ++i) {
-    DimMask* row = dom + (i - i_begin) * stride;
-    std::fill(row, row + width, DimMask{0});
-    for (int k = 0; k < num_dims; ++k) {
-      const DimMask bit = DimBit(block.dim(k));
-      const uint32_t ri = block.column(k)[i];
-      const uint32_t* col = block.column(k) + j_begin;
-      for (size_t j = 0; j < width; ++j) {
-        row[j] |= bit & (DimMask{0} - DimMask{ri < col[j]});
-      }
-    }
-  }
-}
-
 }  // namespace skycube

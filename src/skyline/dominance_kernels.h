@@ -7,15 +7,14 @@
 // property tests in tests/skyline/dominance_kernels_test.cc assert this).
 // The wins come from (a) integer compares instead of double compares,
 // (b) flag accumulation instead of data-dependent branches, and (c) batch
-// shapes — one probe row against a contiguous block of rows, or tile ×
-// tile — whose inner loops auto-vectorize.
+// shapes — one probe row against a contiguous block of rows — whose inner
+// loops auto-vectorize.
 #ifndef SKYCUBE_SKYLINE_DOMINANCE_KERNELS_H_
 #define SKYCUBE_SKYLINE_DOMINANCE_KERNELS_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/bitset.h"
 #include "common/subspace.h"
 #include "dataset/ranked_view.h"
 #include "skyline/dominance.h"
@@ -133,34 +132,6 @@ bool BlockAnyDominates(const RankedBlock& block, const uint32_t* probe);
 /// `dominated` must have block.size() entries.
 void BlockDominatedFlags(const RankedBlock& block, const uint32_t* probe,
                          uint8_t* dominated);
-
-/// Batch twin of RowDominates: sets bit j of `out` (sized `count`) iff
-/// `candidate` strictly dominates ids[j] in `subspace`. out must be a
-/// DynamicBitset of `count` cleared bits.
-void DominatedBitmap(const RankedView& view, ObjectId candidate,
-                     const ObjectId* ids, size_t count, DimMask subspace,
-                     DynamicBitset* out);
-
-/// Batch twin of Dataset::CoincidenceMask: out[j] = dims of `universe`
-/// where ids[j] shares `reference`'s value.
-void CoincidenceMasks(const RankedView& view, ObjectId reference,
-                      const ObjectId* ids, size_t count, DimMask universe,
-                      DimMask* out);
-
-/// Batch twin of Dataset::DominanceMask: out[j] = dims of `universe` where
-/// `reference`'s value is strictly smaller than ids[j]'s.
-void DominanceMasks(const RankedView& view, ObjectId reference,
-                    const ObjectId* ids, size_t count, DimMask universe,
-                    DimMask* out);
-
-/// Tile kernel behind PairwiseMasks: for every (i, j) in
-/// [i_begin, i_end) × [j_begin, j_end), writes the dominance mask
-/// dom(i, j) = {dims of the block's subspace : rank_i < rank_j} into
-/// dom[(i - i_begin) * stride + (j - j_begin)]. Cells are fully
-/// overwritten; dom(i, i) = 0 falls out naturally.
-void PairwiseDominanceTile(const RankedBlock& block, size_t i_begin,
-                           size_t i_end, size_t j_begin, size_t j_end,
-                           DimMask* dom, size_t stride);
 
 /// A dominance window over ranked rows: the BNL/SFS/LESS/index-method
 /// working set, stored as a RankedBlock with ids alongside. AnyDominates

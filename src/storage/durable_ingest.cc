@@ -21,7 +21,7 @@ Result<std::unique_ptr<DurableIngest>> DurableIngest::Open(
   MutexLock lock(&ingest->mu_);
   uint64_t next_lsn = 1;
   if (DirHasDurableState(dir)) {
-    Result<RecoveredState> recovered = RecoverFromDir(dir, options.stellar);
+    Result<RecoveredState> recovered = RecoverFromDir(dir);
     if (!recovered.ok()) return recovered.status();
     ingest->maintainer_ = std::move(recovered.value().maintainer);
     ingest->recovery_stats_ = recovered.value().stats;
@@ -34,8 +34,8 @@ Result<std::unique_ptr<DurableIngest>> DurableIngest::Open(
           "data directory has no durable state and no bootstrap dataset "
           "was provided");
     }
-    ingest->maintainer_ = std::make_unique<IncrementalCubeMaintainer>(
-        *bootstrap, options.stellar);
+    ingest->maintainer_ =
+        std::make_unique<IncrementalCubeMaintainer>(*bootstrap);
     // The LSN-0 checkpoint makes the bootstrap rows durable before the
     // first insert is ever acknowledged; without it a crash before the
     // first periodic checkpoint would have a WAL with no base to replay

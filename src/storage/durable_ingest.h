@@ -36,7 +36,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/maintenance.h"
-#include "core/stellar.h"
 #include "dataset/dataset.h"
 #include "service/ingest.h"
 #include "storage/checkpointer.h"
@@ -52,7 +51,6 @@ struct DurableIngestOptions {
   uint64_t checkpoint_every = 256;
   /// Newest checkpoints retention keeps on disk.
   size_t keep_checkpoints = 2;
-  StellarOptions stellar;
 };
 
 /// Point-in-time counters of one DurableIngest instance.

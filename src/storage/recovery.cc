@@ -48,8 +48,7 @@ bool DirHasDurableState(const std::string& dir) {
   return !ListCheckpoints(dir).empty();
 }
 
-Result<RecoveredState> RecoverFromDir(const std::string& dir,
-                                      const StellarOptions& options) {
+Result<RecoveredState> RecoverFromDir(const std::string& dir) {
   WallTimer timer;
   RecoveredState state;
   RecoveryStats& stats = state.stats;
@@ -73,7 +72,7 @@ Result<RecoveredState> RecoverFromDir(const std::string& dir,
     const size_t rows = loaded.value().data.num_objects();
     auto maintainer = std::make_unique<IncrementalCubeMaintainer>(
         std::move(loaded.value().data), std::move(loaded.value().live),
-        std::move(loaded.value().timestamps), options);
+        std::move(loaded.value().timestamps));
     // Cross-check: the cube rebuilt over the checkpoint's *live* rows must
     // equal the checkpointed cube (both normalized). A mismatch means the
     // checkpoint does not describe the state it claims to — treat it
@@ -122,7 +121,7 @@ Result<RecoveredState> RecoverFromDir(const std::string& dir,
     for (uint32_t i = 0; i < base_rows; ++i) data.AddRow(placeholder);
     state.maintainer = std::make_unique<IncrementalCubeMaintainer>(
         std::move(data), std::vector<uint8_t>(base_rows, 0),
-        std::vector<uint64_t>(base_rows, 0), options);
+        std::vector<uint64_t>(base_rows, 0));
     stats.wal_only_rebuild = true;
     stats.base_rows_lost = base_rows;
   }

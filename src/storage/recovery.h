@@ -37,7 +37,6 @@
 
 #include "common/status.h"
 #include "core/maintenance.h"
-#include "core/stellar.h"
 
 namespace skycube {
 
@@ -85,8 +84,7 @@ bool DirHasDurableState(const std::string& dir);
 /// directory has no checkpoint at all, and kInternal when every checkpoint
 /// is damaged and the WAL does not reach back to LSN 1 (nothing is ever
 /// silently loaded from a bad file).
-Result<RecoveredState> RecoverFromDir(const std::string& dir,
-                                      const StellarOptions& options = {});
+Result<RecoveredState> RecoverFromDir(const std::string& dir);
 
 }  // namespace skycube
 

@@ -7,7 +7,7 @@
 
 #include "common/rng.h"
 #include "core/cgroup_miner.h"
-#include "core/pairwise_masks.h"
+#include "core/seed_lattice.h"
 #include "dataset/dataset.h"
 
 namespace skycube {
@@ -21,6 +21,20 @@ std::vector<MaximalCGroup> Sorted(std::vector<MaximalCGroup> groups) {
               }
               return a.subspace < b.subspace;
             });
+  return groups;
+}
+
+// Every root's branch, each mined from the root's coincidence row.
+std::vector<MaximalCGroup> MineAll(const Dataset& data,
+                                   const std::vector<ObjectId>& seeds) {
+  const SeedRows rows(data, seeds);
+  std::vector<DimMask> co;
+  std::vector<DimMask> dom;
+  std::vector<MaximalCGroup> groups;
+  for (uint32_t root = 0; root < rows.size(); ++root) {
+    rows.Fill(root, &co, &dom);
+    MineBranch(root, co, rows.universe(), &groups);
+  }
   return groups;
 }
 
@@ -43,8 +57,7 @@ TEST(CGroupMinerTest, RunningExampleSeedGroups) {
                                              {2, 4, 9, 3},  // P5
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
-  std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
+  std::vector<MaximalCGroup> groups = Sorted(MineAll(data, {0, 1, 2}));
   ASSERT_EQ(groups.size(), 6u);
   // Singletons in the full space.
   EXPECT_EQ(groups[0].member_indices, (std::vector<uint32_t>{0}));
@@ -74,9 +87,9 @@ TEST(CGroupMinerTest, Example8CoincidenceStructure) {
                                              {6, 7, 3, 4},  // o5: CD with o1
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2, 3, 4}, data.full_mask(), true);
-  std::vector<MaximalCGroup> groups = MineMaximalCGroups(masks);
-  ExpectSameGroups(groups, MineMaximalCGroupsBruteForce(masks));
+  const std::vector<ObjectId> seeds = {0, 1, 2, 3, 4};
+  std::vector<MaximalCGroup> groups = MineAll(data, seeds);
+  ExpectSameGroups(groups, MineMaximalCGroupsBruteForce(data, seeds));
   std::set<std::pair<std::vector<uint32_t>, DimMask>> found;
   for (const MaximalCGroup& group : groups) {
     found.insert({group.member_indices, group.subspace});
@@ -96,8 +109,7 @@ TEST(CGroupMinerTest, NoSharingYieldsOnlySingletons) {
                                              {3, 30},
                                          })
                            .value();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
-  std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
+  std::vector<MaximalCGroup> groups = Sorted(MineAll(data, {0, 1, 2}));
   ASSERT_EQ(groups.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(groups[i].member_indices, (std::vector<uint32_t>{(uint32_t)i}));
@@ -121,36 +133,14 @@ TEST(CGroupMinerTest, EmitsEachGroupExactlyOnce) {
     const Dataset data = Dataset::FromRows(std::move(rows)).value();
     std::vector<ObjectId> all(n);
     for (int i = 0; i < n; ++i) all[i] = i;
-    PairwiseMasks masks(data, all, data.full_mask(), true);
-    std::vector<MaximalCGroup> groups = Sorted(MineMaximalCGroups(masks));
+    std::vector<MaximalCGroup> groups = Sorted(MineAll(data, all));
     for (size_t i = 1; i < groups.size(); ++i) {
       EXPECT_FALSE(groups[i - 1].member_indices == groups[i].member_indices &&
                    groups[i - 1].subspace == groups[i].subspace)
           << "duplicate group in round " << round;
     }
-    ExpectSameGroups(groups, MineMaximalCGroupsBruteForce(masks));
+    ExpectSameGroups(groups, MineMaximalCGroupsBruteForce(data, all));
   }
-}
-
-TEST(CGroupMinerTest, LazyAndMaterializedMasksAgree) {
-  const Dataset data = Dataset::FromRows({
-                                             {1, 2, 3},
-                                             {1, 5, 3},
-                                             {4, 2, 3},
-                                             {1, 2, 9},
-                                         })
-                           .value();
-  PairwiseMasks dense(data, {0, 1, 2, 3}, data.full_mask(), true);
-  PairwiseMasks lazy(data, {0, 1, 2, 3}, data.full_mask(), false);
-  EXPECT_TRUE(dense.materialized());
-  EXPECT_FALSE(lazy.materialized());
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(dense.Dominance(i, j), lazy.Dominance(i, j));
-      EXPECT_EQ(dense.Coincidence(i, j), lazy.Coincidence(i, j));
-    }
-  }
-  ExpectSameGroups(MineMaximalCGroups(dense), MineMaximalCGroups(lazy));
 }
 
 }  // namespace

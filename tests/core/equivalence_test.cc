@@ -4,9 +4,10 @@
 //
 //   ComputeStellar == ComputeSkyey == ComputeReferenceCube
 //
-// plus structural invariants on every emitted group. This is the strongest
-// correctness statement in the suite — Stellar's lattice-extension path and
-// Skyey's subspace-search path share no algorithmic code.
+// plus the paper-level invariants of cube_invariants.h on every emitted
+// group. This is the strongest correctness statement in the suite —
+// Stellar's lattice-extension path and Skyey's subspace-search path share
+// no algorithmic code.
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,9 +19,9 @@
 #include "core/skyey.h"
 #include "core/skyline_group.h"
 #include "core/stellar.h"
+#include "cube_invariants.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
-#include "skyline/dominance.h"
 
 namespace skycube {
 namespace {
@@ -40,41 +41,6 @@ Dataset MakeData(const Config& config) {
   return GenerateSynthetic(spec);
 }
 
-void CheckInvariants(const Dataset& data, const SkylineGroupSet& groups) {
-  for (const SkylineGroup& group : groups) {
-    ASSERT_TRUE(GroupWellFormed(group)) << FormatGroup(group, data.num_dims());
-    // Members share the projection on the maximal subspace...
-    for (ObjectId member : group.members) {
-      EXPECT_TRUE(data.ProjectionsEqual(group.members.front(), member,
-                                        group.max_subspace));
-    }
-    // ...and on no dimension outside it (dimension-maximality).
-    DimMask shared = data.full_mask();
-    for (ObjectId member : group.members) {
-      shared &= data.CoincidenceMask(group.members.front(), member,
-                                     data.full_mask());
-    }
-    EXPECT_EQ(shared, group.max_subspace);
-    // Object-maximality + Theorem 4 on each decisive subspace: every
-    // outside object is strictly beaten on some dimension of each C.
-    for (DimMask decisive : group.decisive_subspaces) {
-      size_t member_cursor = 0;
-      for (ObjectId o = 0; o < data.num_objects(); ++o) {
-        if (member_cursor < group.members.size() &&
-            group.members[member_cursor] == o) {
-          ++member_cursor;
-          continue;
-        }
-        EXPECT_NE(data.DominanceMask(group.members.front(), o, decisive),
-                  kEmptyMask)
-            << "object " << o << " not beaten on decisive "
-            << FormatMask(decisive) << " of "
-            << FormatGroup(group, data.num_dims());
-      }
-    }
-  }
-}
-
 TEST_P(EngineEquivalenceTest, StellarEqualsSkyeyEqualsReference) {
   const Dataset data = MakeData(GetParam());
   const SkylineGroupSet stellar = ComputeStellar(data);
@@ -88,7 +54,7 @@ TEST_P(EngineEquivalenceTest, StellarEqualsSkyeyEqualsReference) {
       << "Stellar:\n"
       << FormatGroups(stellar, data.num_dims()) << "Reference:\n"
       << FormatGroups(reference, data.num_dims());
-  CheckInvariants(data, stellar);
+  ExpectCubeInvariants(data, stellar);
 }
 
 std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/nonseed_extension.h"
-#include "core/pairwise_masks.h"
 #include "core/seed_lattice.h"
 #include "dataset/dataset.h"
 #include "skyline/algorithms.h"
@@ -21,9 +20,8 @@ SkylineGroupSet Extend(const Dataset& data, NonSeedExtensionStats* stats,
                        int num_threads = 1) {
   const std::vector<ObjectId> seeds =
       ComputeSkyline(data, data.full_mask());
-  PairwiseMasks masks(data, seeds, data.full_mask(), true);
   const std::vector<SeedSkylineGroup> seed_groups =
-      BuildSeedSkylineGroups(masks);
+      BuildSeedSkylineGroups(SeedRows(data, seeds));
   SkylineGroupSet groups =
       ExtendWithNonSeeds(data, seeds, seed_groups, stats, num_threads);
   NormalizeGroups(&groups);

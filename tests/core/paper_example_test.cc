@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/cube.h"
-#include "core/pairwise_masks.h"
 #include "core/reference.h"
+#include "core/seed_lattice.h"
 #include "core/skyey.h"
 #include "core/skyline_group.h"
 #include "core/stellar.h"
@@ -91,28 +91,25 @@ TEST(PaperRunningExample, SubspaceSkylinesOfExample2) {
 
 TEST(PaperRunningExample, DominanceAndCoincidenceMatricesOfFigure4) {
   const Dataset data = RunningExample();
-  // Seeds P2, P4, P5 → seed indices 0, 1, 2.
-  PairwiseMasks masks(data, {1, 3, 4}, data.full_mask(),
-                      /*materialize=*/true);
+  // Seeds P2, P4, P5 → seed indices 0, 1, 2; Stellar reads both matrices
+  // one row at a time.
+  const SeedRows rows(data, {1, 3, 4});
+  std::vector<std::vector<DimMask>> dom(3);
+  std::vector<std::vector<DimMask>> co(3);
+  for (uint32_t i = 0; i < 3; ++i) rows.Fill(i, &co[i], &dom[i]);
   // Dominance matrix, Figure 4(a) rows P2, P4, P5.
-  EXPECT_EQ(masks.Dominance(0, 0), kEmptyMask);
-  EXPECT_EQ(masks.Dominance(0, 1), M("AD"));  // dom(P2,P4)
-  EXPECT_EQ(masks.Dominance(0, 2), M("C"));   // dom(P2,P5)
-  EXPECT_EQ(masks.Dominance(1, 0), M("B"));   // dom(P4,P2)
-  EXPECT_EQ(masks.Dominance(1, 2), M("C"));   // dom(P4,P5)
-  EXPECT_EQ(masks.Dominance(2, 0), M("B"));   // dom(P5,P2)
-  EXPECT_EQ(masks.Dominance(2, 1), M("AD"));  // dom(P5,P4)
+  EXPECT_EQ(dom[0], (std::vector<DimMask>{kEmptyMask, M("AD"), M("C")}));
+  EXPECT_EQ(dom[1], (std::vector<DimMask>{M("B"), kEmptyMask, M("C")}));
+  EXPECT_EQ(dom[2], (std::vector<DimMask>{M("B"), M("AD"), kEmptyMask}));
   // Coincidence matrix, Figure 4(b).
-  EXPECT_EQ(masks.Coincidence(0, 0), M("ABCD"));
-  EXPECT_EQ(masks.Coincidence(0, 1), M("C"));
-  EXPECT_EQ(masks.Coincidence(0, 2), M("AD"));
-  EXPECT_EQ(masks.Coincidence(1, 2), M("B"));
+  EXPECT_EQ(co[0], (std::vector<DimMask>{M("ABCD"), M("C"), M("AD")}));
+  EXPECT_EQ(co[1], (std::vector<DimMask>{M("C"), M("ABCD"), M("B")}));
+  EXPECT_EQ(co[2], (std::vector<DimMask>{M("AD"), M("B"), M("ABCD")}));
   // Property 1(3): co = D − dom − dom^T, and symmetry.
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(masks.Coincidence(i, j), masks.Coincidence(j, i));
-      EXPECT_EQ(masks.Coincidence(i, j),
-                M("ABCD") & ~masks.Dominance(i, j) & ~masks.Dominance(j, i));
+      EXPECT_EQ(co[i][j], co[j][i]);
+      EXPECT_EQ(co[i][j], M("ABCD") & ~dom[i][j] & ~dom[j][i]);
     }
   }
 }

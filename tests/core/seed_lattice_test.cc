@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pairwise_masks.h"
 #include "core/seed_lattice.h"
+#include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 
 namespace skycube {
@@ -31,12 +31,74 @@ const SeedSkylineGroup* FindGroup(const std::vector<SeedSkylineGroup>& groups,
   return nullptr;
 }
 
+// Checks every row of `seeds` (ids into `data`) against the Dataset's
+// scalar masks, which share no code with the row pass.
+void ExpectRowsMatchDatasetMasks(const Dataset& data,
+                                 const std::vector<ObjectId>& seeds) {
+  const SeedRows rows(data, seeds);
+  ASSERT_EQ(rows.size(), seeds.size());
+  EXPECT_EQ(rows.universe(), data.full_mask());
+  std::vector<DimMask> co;
+  std::vector<DimMask> dom;
+  for (uint32_t i = 0; i < seeds.size(); ++i) {
+    rows.Fill(i, &co, &dom);
+    ASSERT_EQ(co.size(), seeds.size());
+    ASSERT_EQ(dom.size(), seeds.size());
+    for (uint32_t j = 0; j < seeds.size(); ++j) {
+      EXPECT_EQ(co[j], data.CoincidenceMask(seeds[i], seeds[j],
+                                            data.full_mask()))
+          << "co(" << i << ", " << j << ")";
+      EXPECT_EQ(dom[j], data.DominanceMask(seeds[i], seeds[j],
+                                           data.full_mask()))
+          << "dom(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(SeedLatticeTest, RowsMatchDatasetMasks) {
+  // Tie-heavy synthetic data (one decimal digit), every row a "seed".
+  for (Distribution distribution :
+       {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
+    SyntheticSpec spec;
+    spec.distribution = distribution;
+    spec.num_objects = 150;
+    spec.num_dims = 5;
+    spec.truncate_decimals = 1;
+    spec.seed = 7;
+    const Dataset data = GenerateSynthetic(spec);
+    std::vector<ObjectId> all;
+    for (ObjectId i = 0; i < data.num_objects(); ++i) all.push_back(i);
+    ExpectRowsMatchDatasetMasks(data, all);
+    // A seed list in another order than the rows.
+    ExpectRowsMatchDatasetMasks(data, {149, 3, 77, 0, 33});
+  }
+  // -0.0 and 0.0 coincide; the middle column is constant.
+  const Dataset signed_zero = Dataset::FromRows({
+                                                    {-0.0, 4, 1},
+                                                    {0.0, 4, 2},
+                                                    {0.5, 4, -0.0},
+                                                })
+                                  .value();
+  ExpectRowsMatchDatasetMasks(signed_zero, {0, 1, 2});
+  const SeedRows rows(signed_zero, {0, 1, 2});
+  std::vector<DimMask> co;
+  std::vector<DimMask> dom;
+  rows.Fill(0, &co, &dom);
+  EXPECT_EQ(co, (std::vector<DimMask>{0b111, 0b011, 0b010}));
+  EXPECT_EQ(dom, (std::vector<DimMask>{0, 0b100, 0b001}));
+  // A single seed: co(0, 0) = universe, dom(0, 0) = ∅.
+  ExpectRowsMatchDatasetMasks(signed_zero, {1});
+  const SeedRows single(signed_zero, {1});
+  single.Fill(0, &co, &dom);
+  EXPECT_EQ(co, (std::vector<DimMask>{0b111}));
+  EXPECT_EQ(dom, (std::vector<DimMask>{0}));
+}
+
 TEST(SeedLatticeTest, RunningExampleFigure3a) {
   const Dataset data = Seeds();
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
   SeedLatticeStats stats;
   const std::vector<SeedSkylineGroup> groups =
-      BuildSeedSkylineGroups(masks, &stats);
+      BuildSeedSkylineGroups(SeedRows(data, {0, 1, 2}), &stats);
   EXPECT_EQ(stats.num_maximal_cgroups, 6u);
   EXPECT_EQ(stats.num_seed_skyline_groups, 6u);
 
@@ -81,10 +143,9 @@ TEST(SeedLatticeTest, NonSkylineCGroupIsDropped) {
                                          })
                            .value();
   // All three are full-space skyline objects.
-  PairwiseMasks masks(data, {0, 1, 2}, data.full_mask(), true);
   SeedLatticeStats stats;
   const std::vector<SeedSkylineGroup> groups =
-      BuildSeedSkylineGroups(masks, &stats);
+      BuildSeedSkylineGroups(SeedRows(data, {0, 1, 2}), &stats);
   EXPECT_EQ(stats.num_maximal_cgroups, 4u);       // 3 singletons + {a,b}
   EXPECT_EQ(stats.num_seed_skyline_groups, 3u);   // {a,b} dropped
   EXPECT_EQ(FindGroup(groups, {0, 1}), nullptr);
@@ -95,8 +156,8 @@ TEST(SeedLatticeTest, NonSkylineCGroupIsDropped) {
 
 TEST(SeedLatticeTest, SingleSeedGetsSingletonDecisives) {
   const Dataset data = Dataset::FromRows({{1, 2, 3}}).value();
-  PairwiseMasks masks(data, {0}, data.full_mask(), true);
-  const std::vector<SeedSkylineGroup> groups = BuildSeedSkylineGroups(masks);
+  const std::vector<SeedSkylineGroup> groups =
+      BuildSeedSkylineGroups(SeedRows(data, {0}));
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_TRUE(groups[0].reduced_edges.empty());
   EXPECT_EQ(groups[0].decisive,
@@ -125,9 +186,9 @@ TEST(SeedLatticeTest, ParallelMatchesSequential) {
   // seed set to be a real skyline for its own invariants).
   std::vector<ObjectId> all;
   for (ObjectId i = 0; i < data.num_objects(); ++i) all.push_back(i);
-  PairwiseMasks masks(data, all, data.full_mask(), true);
-  const auto sequential = BuildSeedSkylineGroups(masks, nullptr, 1);
-  const auto parallel = BuildSeedSkylineGroups(masks, nullptr, 4);
+  const SeedRows seed_rows(data, all);
+  const auto sequential = BuildSeedSkylineGroups(seed_rows, nullptr, 1);
+  const auto parallel = BuildSeedSkylineGroups(seed_rows, nullptr, 4);
   ASSERT_EQ(sequential.size(), parallel.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(sequential[i].seed_indices, parallel[i].seed_indices);

@@ -22,61 +22,6 @@ Dataset TestData(Distribution distribution, uint64_t seed) {
   return GenerateSynthetic(spec);
 }
 
-TEST(StellarOptionsTest, MatrixModesAgree) {
-  const Dataset data = TestData(Distribution::kAntiCorrelated, 8);
-  StellarOptions materialize;
-  materialize.matrix_mode = StellarOptions::MatrixMode::kMaterialize;
-  StellarOptions on_the_fly;
-  on_the_fly.matrix_mode = StellarOptions::MatrixMode::kOnTheFly;
-  StellarOptions auto_mode;
-  auto_mode.matrix_mode = StellarOptions::MatrixMode::kAuto;
-  const SkylineGroupSet a = ComputeStellar(data, materialize);
-  const SkylineGroupSet b = ComputeStellar(data, on_the_fly);
-  const SkylineGroupSet c = ComputeStellar(data, auto_mode);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
-TEST(StellarOptionsTest, SkylineAlgorithmChoiceDoesNotMatter) {
-  const Dataset data = TestData(Distribution::kIndependent, 15);
-  SkylineGroupSet reference;
-  bool first = true;
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithms) {
-    StellarOptions options;
-    options.skyline_algorithm = algorithm;
-    SkylineGroupSet got = ComputeStellar(data, options);
-    if (first) {
-      reference = std::move(got);
-      first = false;
-    } else {
-      EXPECT_EQ(got, reference) << SkylineAlgorithmName(algorithm);
-    }
-  }
-}
-
-TEST(StellarOptionsTest, BindDuplicatesToggleOnDistinctData) {
-  // Without duplicates in the input the toggle must be a no-op.
-  const Dataset data = TestData(Distribution::kCorrelated, 23);
-  StellarOptions bound;
-  bound.bind_duplicates = true;
-  StellarOptions unbound;
-  unbound.bind_duplicates = false;
-  // The generated data may contain duplicates after truncation; filter them
-  // out first to make the unbound run well-defined.
-  std::vector<std::vector<double>> rows;
-  std::vector<std::vector<double>> seen;
-  for (ObjectId i = 0; i < data.num_objects(); ++i) {
-    std::vector<double> row(data.Row(i), data.Row(i) + data.num_dims());
-    if (std::find(seen.begin(), seen.end(), row) == seen.end()) {
-      seen.push_back(row);
-      rows.push_back(row);
-    }
-  }
-  const Dataset distinct = Dataset::FromRows(rows).value();
-  EXPECT_EQ(ComputeStellar(distinct, bound),
-            ComputeStellar(distinct, unbound));
-}
-
 TEST(StellarOptionsTest, StatsAreConsistent) {
   const Dataset data = TestData(Distribution::kIndependent, 4);
   StellarStats stats;

@@ -1,8 +1,9 @@
 // Moderate-scale randomized differential tests: Stellar vs Skyey on
 // thousands of objects (too big for the brute-force oracle, big enough to
-// exercise the candidate-sharing, matrix and extension paths that tiny
+// exercise the candidate-sharing, seed-row and extension paths that tiny
 // inputs never stress), plus workload shapes the small sweeps don't cover
-// (NBA-like prefixes, integer grids, clustered fares).
+// (NBA-like prefixes, integer grids, clustered fares). Every output is also
+// checked against the paper's definitions (cube_invariants.h).
 #include <string>
 #include <tuple>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/serialization.h"
 #include "core/skyey.h"
 #include "core/stellar.h"
+#include "cube_invariants.h"
 #include "datagen/nba_like.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
@@ -21,15 +23,14 @@
 namespace skycube {
 namespace {
 
-void ExpectEnginesAgree(const Dataset& data, const std::string& label) {
-  const SkylineGroupSet stellar = ComputeStellar(data);
+void ExpectEnginesAgree(const Dataset& data, const std::string& label,
+                        StellarStats* stats = nullptr) {
+  const SkylineGroupSet stellar = ComputeStellar(data, {}, stats);
   const SkylineGroupSet skyey = ComputeSkyey(data);
   ASSERT_EQ(stellar.size(), skyey.size()) << label;
   ASSERT_EQ(stellar, skyey) << label;
-  for (const SkylineGroup& group : stellar) {
-    ASSERT_TRUE(GroupWellFormed(group))
-        << label << ": " << FormatGroup(group, data.num_dims());
-  }
+  SCOPED_TRACE(label);
+  ExpectCubeInvariants(data, stellar);
 }
 
 TEST(StressTest, SyntheticMidScale) {
@@ -48,6 +49,21 @@ TEST(StressTest, SyntheticMidScale) {
                              std::to_string(d));
     }
   }
+}
+
+// The shape of the benchmark's read workload: 10,000 x 8 independent rows
+// with 4 decimals and data seed 2007, which give 2,330 seeds.
+TEST(StressTest, ReadWorkloadShape) {
+  SyntheticSpec spec;
+  spec.distribution = Distribution::kIndependent;
+  spec.num_objects = 10000;
+  spec.num_dims = 8;
+  spec.truncate_decimals = 4;
+  spec.seed = 2007;
+  const Dataset data = GenerateSynthetic(spec);
+  StellarStats stats;
+  ExpectEnginesAgree(data, "read-shape", &stats);
+  EXPECT_EQ(stats.num_seeds, 2330u);
 }
 
 TEST(StressTest, NbaLikePrefixes) {

@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/bitset.h"
 #include "core/skyey.h"
-#include "core/stellar.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 #include "dataset/ranked_view.h"
@@ -62,13 +60,6 @@ TEST(RankedViewTest, RanksPreserveOrderAndTies) {
         }
       }
       EXPECT_EQ(view.num_distinct(dim), max_rank + 1);
-      // SortedOrder walks values ascending, ids ascending within ties.
-      const uint32_t* order = view.SortedOrder(dim);
-      for (size_t i = 1; i < data.num_objects(); ++i) {
-        const double prev = data.Value(order[i - 1], dim);
-        const double cur = data.Value(order[i], dim);
-        EXPECT_TRUE(prev < cur || (prev == cur && order[i - 1] < order[i]));
-      }
     }
   }
 }
@@ -87,38 +78,6 @@ TEST(DominanceKernelsTest, PairwiseKernelsMatchScalarOracle) {
                     RowDominates(row_a, row_b, subspace));
           EXPECT_EQ(RankedDominatesOrEqual(view, a, b, subspace),
                     RowDominatesOrEqual(row_a, row_b, subspace));
-          EXPECT_EQ(view.DominanceMask(a, b, subspace),
-                    data.DominanceMask(a, b, subspace));
-          EXPECT_EQ(view.CoincidenceMask(a, b, subspace),
-                    data.CoincidenceMask(a, b, subspace));
-        }
-      }
-    }
-  }
-}
-
-TEST(DominanceKernelsTest, BatchKernelsMatchScalarOracle) {
-  for (const Dataset& data : TestDatasets()) {
-    const RankedView view(data);
-    std::vector<ObjectId> ids(data.num_objects());
-    std::iota(ids.begin(), ids.end(), 0);
-    for (DimMask subspace : TestSubspaces(data)) {
-      std::vector<DimMask> masks(ids.size());
-      for (ObjectId probe : {ObjectId{0}, ObjectId{17}, ObjectId{299}}) {
-        DynamicBitset dominated(ids.size());
-        DominatedBitmap(view, probe, ids.data(), ids.size(), subspace,
-                        &dominated);
-        CoincidenceMasks(view, probe, ids.data(), ids.size(), subspace,
-                         masks.data());
-        for (size_t j = 0; j < ids.size(); ++j) {
-          EXPECT_EQ(dominated.Test(j),
-                    RowDominates(data.Row(probe), data.Row(ids[j]), subspace));
-          EXPECT_EQ(masks[j], data.CoincidenceMask(probe, ids[j], subspace));
-        }
-        DominanceMasks(view, probe, ids.data(), ids.size(), subspace,
-                       masks.data());
-        for (size_t j = 0; j < ids.size(); ++j) {
-          EXPECT_EQ(masks[j], data.DominanceMask(probe, ids[j], subspace));
         }
       }
     }
@@ -155,32 +114,6 @@ TEST(DominanceKernelsTest, BlockKernelsMatchScalarOracle) {
   }
 }
 
-TEST(DominanceKernelsTest, PairwiseTileMatchesScalarMasks) {
-  for (const Dataset& data : TestDatasets()) {
-    const RankedView view(data);
-    std::vector<ObjectId> ids;
-    for (ObjectId id = 0; id < 100; ++id) ids.push_back(id * 3);
-    const DimMask universe = data.full_mask();
-    const RankedBlock block = RankedBlock::Gather(view, universe, ids);
-    const size_t n = ids.size();
-    std::vector<DimMask> dom(n * n, ~DimMask{0});
-    // Cover tile seams: fill via two horizontal bands and two vertical ones.
-    for (size_t i0 : {size_t{0}, n / 2}) {
-      const size_t i1 = i0 == 0 ? n / 2 : n;
-      for (size_t j0 : {size_t{0}, n / 3}) {
-        const size_t j1 = j0 == 0 ? n / 3 : n;
-        PairwiseDominanceTile(block, i0, i1, j0, j1, dom.data() + i0 * n + j0,
-                              n);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        EXPECT_EQ(dom[i * n + j], data.DominanceMask(ids[i], ids[j], universe));
-      }
-    }
-  }
-}
-
 TEST(DominanceKernelsTest, RankSortKeyIsMonotoneUnderDominance) {
   for (const Dataset& data : TestDatasets()) {
     const RankedView view(data);
@@ -210,12 +143,16 @@ TEST(DominanceKernelsTest, AllTiesRegression) {
     for (ObjectId b = 0; b < data.num_objects(); ++b) {
       EXPECT_EQ(CompareRanked(view, a, b, full), DomOrder::kEqual);
       EXPECT_FALSE(RankedDominates(view, a, b, full));
-      EXPECT_EQ(view.CoincidenceMask(a, b, full), full);
+      EXPECT_TRUE(RankedDominatesOrEqual(view, a, b, full));
     }
   }
-  DynamicBitset dominated(ids.size());
-  DominatedBitmap(view, 0, ids.data(), ids.size(), full, &dominated);
-  EXPECT_FALSE(dominated.Any());
+  const RankedBlock block = RankedBlock::Gather(view, full, ids);
+  std::vector<uint32_t> probe(static_cast<size_t>(block.num_packed_dims()));
+  block.GatherProbe(0, probe.data());
+  EXPECT_FALSE(BlockAnyDominates(block, probe.data()));
+  std::vector<uint8_t> dominated(ids.size(), 1);
+  BlockDominatedFlags(block, probe.data(), dominated.data());
+  EXPECT_EQ(dominated, std::vector<uint8_t>(ids.size(), 0));
   for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
     EXPECT_EQ(ComputeSkylineRanked(view, full, algorithm), ids)
         << SkylineAlgorithmName(algorithm);
@@ -248,24 +185,6 @@ TEST(RankedAlgorithmsTest, CandidateRestrictionMatchesScalar) {
                 ComputeSkylineAmong(data, data.full_mask(), candidates,
                                     algorithm))
           << SkylineAlgorithmName(algorithm);
-    }
-  }
-}
-
-TEST(RankedPipelinesTest, StellarIdenticalRankedVsDouble) {
-  for (const Dataset& data : TestDatasets()) {
-    StellarOptions ranked_options;
-    ranked_options.use_ranked_kernels = true;
-    ranked_options.force_ranked_kernels = true;
-    StellarOptions double_options;
-    double_options.use_ranked_kernels = false;
-    for (StellarOptions::MatrixMode mode :
-         {StellarOptions::MatrixMode::kMaterialize,
-          StellarOptions::MatrixMode::kOnTheFly}) {
-      ranked_options.matrix_mode = mode;
-      double_options.matrix_mode = mode;
-      EXPECT_EQ(ComputeStellar(data, ranked_options),
-                ComputeStellar(data, double_options));
     }
   }
 }
