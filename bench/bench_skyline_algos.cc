@@ -1,13 +1,12 @@
 // google-benchmark microbenchmarks of the single-space skyline substrate:
-// BNL vs SFS vs D&C vs LESS across the three distributions and sizes, and
-// the Ranked* columnar fast paths against their scalar twins.
-// (Substrate ablation — the related-work algorithms the paper builds on.)
+// BNL vs SFS vs D&C vs LESS vs Index vs Bitmap vs BBS across the three
+// distributions and sizes. (Substrate ablation — the related-work
+// algorithms the paper builds on; the library itself runs SFS.)
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_gbench_main.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
-#include "dataset/ranked_view.h"
 #include "skyline/algorithms.h"
 
 namespace skycube {
@@ -40,44 +39,6 @@ void RunSkyline(benchmark::State& state, Distribution distribution,
                           static_cast<int64_t>(n));
 }
 
-// Ranked twin: the RankedView is built once per dataset outside the timed
-// region (that is how the pipelines amortize it); BM_RankedViewBuild below
-// prices the construction itself.
-void RunSkylineRanked(benchmark::State& state, Distribution distribution,
-                      SkylineAlgorithm algorithm) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  const Dataset data = MakeData(distribution, n, d);
-  const RankedView view(data);
-  size_t skyline_size = 0;
-  for (auto _ : state) {
-    std::vector<ObjectId> skyline =
-        ComputeSkylineRanked(view, data.full_mask(), algorithm);
-    skyline_size = skyline.size();
-    benchmark::DoNotOptimize(skyline);
-  }
-  state.counters["skyline"] = static_cast<double>(skyline_size);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-
-void BM_RankedViewBuild(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  const Dataset data = MakeData(Distribution::kIndependent, n, d);
-  for (auto _ : state) {
-    RankedView view(data);
-    benchmark::DoNotOptimize(view);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RankedViewBuild)
-    ->Args({10000, 4})
-    ->Args({50000, 4})
-    ->Args({10000, 8})
-    ->Unit(benchmark::kMillisecond);
-
 #define SKYCUBE_BENCH(dist_name, dist, algo_name, algo)             \
   void BM_##dist_name##_##algo_name(benchmark::State& state) {      \
     RunSkyline(state, dist, algo);                                  \
@@ -87,29 +48,6 @@ BENCHMARK(BM_RankedViewBuild)
       ->Args({50000, 4})                                            \
       ->Args({10000, 8})                                            \
       ->Unit(benchmark::kMillisecond)
-
-#define SKYCUBE_BENCH_RANKED(dist_name, dist, algo_name, algo)        \
-  void BM_##dist_name##_Ranked##algo_name(benchmark::State& state) {  \
-    RunSkylineRanked(state, dist, algo);                              \
-  }                                                                   \
-  BENCHMARK(BM_##dist_name##_Ranked##algo_name)                       \
-      ->Args({10000, 4})                                              \
-      ->Args({50000, 4})                                              \
-      ->Args({10000, 8})                                              \
-      ->Unit(benchmark::kMillisecond)
-
-SKYCUBE_BENCH_RANKED(Correlated, Distribution::kCorrelated, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(Correlated, Distribution::kCorrelated, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH_RANKED(Independent, Distribution::kIndependent, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(Independent, Distribution::kIndependent, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH_RANKED(AntiCorrelated, Distribution::kAntiCorrelated, Bnl,
-                     SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH_RANKED(AntiCorrelated, Distribution::kAntiCorrelated, Sfs,
-                     SkylineAlgorithm::kSortFilterSkyline);
 
 SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Bnl,
               SkylineAlgorithm::kBlockNestedLoops);

@@ -28,7 +28,8 @@ std::string FormatMask(DimMask mask) {
   if (mask == 0) return "{}";
   if ((mask >> 26) != 0) return FormatMaskNumeric(mask);
   std::string out;
-  ForEachDim(mask, [&](int dim) { out.push_back(static_cast<char>('A' + dim)); });
+  ForEachDim(mask,
+             [&](int dim) { out.push_back(static_cast<char>('A' + dim)); });
   return out;
 }
 

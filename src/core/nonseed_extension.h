@@ -35,8 +35,8 @@ namespace skycube {
 
 /// Statistics of the extension step.
 struct NonSeedExtensionStats {
-  uint64_t relevant_pairs = 0;   // Σ per-group relevant non-seeds
-  uint64_t derived_groups = 0;   // groups emitted with mask ⊂ B' or extra members
+  uint64_t relevant_pairs = 0;  // Σ per-group relevant non-seeds
+  uint64_t derived_groups = 0;  // groups with mask ⊂ B' or extra members
 };
 
 /// Extends `seed_groups` (over the seeds listed in `seeds`, which must be

@@ -37,17 +37,13 @@ SkylineGroupSet ComputeSkyey(const Dataset& data, const SkyeyOptions& options,
   local_stats.num_objects = data.num_objects();
   WallTimer timer;
 
-  // Phase 1: search every subspace; record, per group (= tie class of a
-  // subspace skyline), all qualifying subspaces. The cube traversal decides
-  // for itself whether the ranked kernels pay off on this workload.
+  // Phase 1: search every subspace with SFS; record, per group (= tie class
+  // of a subspace skyline), all qualifying subspaces.
   std::unordered_map<std::vector<ObjectId>, std::vector<DimMask>, VectorU32Hash>
       qualifying;
   SkycubeOptions cube_options;
-  cube_options.algorithm = options.skyline_algorithm;
   cube_options.share_parent_candidates = options.share_parent_candidates;
   cube_options.num_threads = options.num_threads;
-  cube_options.use_ranked_kernels = options.use_ranked_kernels;
-  cube_options.force_ranked_kernels = options.force_ranked_kernels;
   SkycubeStats cube_stats;
   ForEachSubspaceSkyline(
       data, cube_options,

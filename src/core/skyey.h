@@ -1,6 +1,7 @@
 // Algorithm Skyey — the baseline from [10] (Pei et al., VLDB'05) that the
 // paper compares Stellar against. Skyey assembles a data-cube traversal
-// with a sorting-based skyline algorithm: it searches *every* non-empty
+// with a sorting-based skyline algorithm (SFS, the kernel Stellar's step 1
+// also runs): it searches *every* non-empty
 // subspace for its skyline (sharing sorted candidate lists between parent
 // and child subspaces), groups the per-subspace skyline objects by their
 // shared projections, and merges the per-subspace findings into skyline
@@ -20,14 +21,11 @@
 
 #include "core/skyline_group.h"
 #include "dataset/dataset.h"
-#include "skyline/algorithms.h"
 
 namespace skycube {
 
 /// Tuning knobs for Skyey.
 struct SkyeyOptions {
-  /// Per-subspace skyline algorithm.
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSortFilterSkyline;
   /// Share the parent subspace's skyline (plus ties) as candidates — the
   /// paper's "sorted lists of objects are shared as much as possible".
   /// Disabling recomputes each subspace from scratch (ablation).
@@ -36,12 +34,6 @@ struct SkyeyOptions {
   /// the skycube traversal). 1 = sequential (default); 0 = all hardware
   /// threads. Results are identical regardless of the value.
   int num_threads = 1;
-  /// Run subspace skylines and group assembly on the rank-compressed
-  /// columnar kernels; results are bit-for-bit identical to the double
-  /// path.
-  bool use_ranked_kernels = true;
-  /// Bypass the workload-size heuristics (see SkycubeOptions).
-  bool force_ranked_kernels = false;
 };
 
 /// Counters of one Skyey run.

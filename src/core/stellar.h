@@ -29,9 +29,10 @@ struct StellarOptions {
   int num_threads = 1;
 };
 
-/// Phase timings and counters of one Stellar run. Stellar builds no
-/// RankedView, so seconds_ranked_view stays 0; the field is kept for the
-/// readers of this struct (perfbench's dataset.ranked_view_s among them).
+/// Phase timings and counters of one Stellar run. The library has one
+/// dominance path, on the dataset's doubles (skyline/dominance.h), and
+/// builds no rank-compressed view, so seconds_ranked_view stays 0; the
+/// field is kept for perfbench, which reports it as dataset.ranked_view_s.
 struct StellarStats {
   uint64_t num_objects = 0;
   uint64_t num_distinct_objects = 0;

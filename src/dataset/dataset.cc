@@ -141,7 +141,7 @@ DimMask Dataset::CoincidenceMask(ObjectId a, ObjectId b,
   const double* rb = Row(b);
   DimMask mask = 0;
   ForEachDim(universe, [&](int dim) {
-    if (ra[dim] == rb[dim]) mask |= DimBit(dim);
+    mask |= DimBit(dim) & -static_cast<DimMask>(ra[dim] == rb[dim]);
   });
   return mask;
 }
@@ -152,7 +152,7 @@ DimMask Dataset::DominanceMask(ObjectId a, ObjectId b,
   const double* rb = Row(b);
   DimMask mask = 0;
   ForEachDim(universe, [&](int dim) {
-    if (ra[dim] < rb[dim]) mask |= DimBit(dim);
+    mask |= DimBit(dim) & -static_cast<DimMask>(ra[dim] < rb[dim]);
   });
   return mask;
 }

@@ -1,10 +1,8 @@
 #include "router/merge.h"
 
 #include <algorithm>
-#include <numeric>
 
-#include "dataset/ranked_view.h"
-#include "skyline/dominance_kernels.h"
+#include "skyline/algorithms.h"
 
 namespace skycube::router {
 
@@ -16,33 +14,16 @@ std::vector<ObjectId> MergeSkylineCandidates(
                    candidates.end());
   if (candidates.size() <= 1) return candidates;
 
-  // Re-rank the candidates as a private mini-dataset: dense ranks preserve
-  // the per-dimension order exactly, so dominance over the ranks equals
-  // dominance over the doubles.
+  // Local id i is candidates[i]; ascending local ids therefore map to
+  // ascending global ids.
   const int num_dims = rows.num_dims();
   Dataset local(num_dims);
   for (ObjectId gid : candidates) {
     const double* row = rows.Row(gid);
     local.AddRow(std::vector<double>(row, row + num_dims));
   }
-  const RankedView view(local);
-  std::vector<ObjectId> local_ids(candidates.size());
-  std::iota(local_ids.begin(), local_ids.end(), 0);
-  const RankedBlock block = RankedBlock::Gather(view, subspace, local_ids);
-
-  // One refilter pass: candidate i survives iff no candidate strictly
-  // dominates it. A row never strictly dominates itself or an equal row,
-  // so probing against the full block (self included) is safe.
-  std::vector<ObjectId> merged;
-  merged.reserve(candidates.size());
-  std::vector<uint32_t> probe(
-      static_cast<size_t>(std::max(block.num_packed_dims(), 1)));
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    block.GatherProbe(static_cast<ObjectId>(i), probe.data());
-    if (!BlockAnyDominates(block, probe.data())) {
-      merged.push_back(candidates[i]);
-    }
-  }
+  std::vector<ObjectId> merged = ComputeSkyline(local, subspace);
+  for (ObjectId& id : merged) id = candidates[id];
   return merged;
 }
 

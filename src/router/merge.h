@@ -3,12 +3,11 @@
 // Per-shard subspace skylines compose: because strict dominance is
 // transitive, every global skyline row is in its own shard's skyline, so
 // the global skyline is exactly the skyline OF the union of per-shard
-// skylines. The merge is therefore one dominance refilter pass over the
-// (small) candidate union — the multiskyline-join idiom of distributed
-// skyline frameworks — executed with the repo's ranked columnar kernels:
-// candidates are re-ranked locally (dense ranks preserve <,==,> exactly,
-// so dominance is unchanged) and probed against a packed RankedBlock with
-// early-exit BlockAnyDominates.
+// skylines. The merge is therefore one skyline pass over the (small)
+// candidate union — the multiskyline-join idiom of distributed skyline
+// frameworks — run by the library's single-node kernel: the candidates are
+// copied into a private Dataset, SFS computes its skyline, and the local
+// ids map back to the global ones.
 #ifndef SKYCUBE_ROUTER_MERGE_H_
 #define SKYCUBE_ROUTER_MERGE_H_
 

@@ -1,8 +1,8 @@
 // In-process sharded serving tier (docs/SHARDING.md).
 //
 // ShardedSkycubeService partitions a dataset over N real SkycubeService
-// instances by consistent hash (each with its own cube, ranked kernels,
-// result cache, and maintainer-backed insert path) and answers queries
+// instances by consistent hash (each with its own cube, result cache, and
+// maintainer-backed insert path) and answers queries
 // through the same ScatterGather engine the TCP router uses — just with
 // in-process backends instead of sockets. Two jobs:
 //  - the router correctness oracle: merged answers must be byte-identical

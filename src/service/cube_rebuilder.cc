@@ -101,7 +101,8 @@ std::chrono::milliseconds CubeRebuilder::NextBackoffLocked(
     backoff *= options_.backoff_multiplier;
     if (backoff >= static_cast<double>(options_.max_backoff.count())) break;
   }
-  backoff = std::min(backoff, static_cast<double>(options_.max_backoff.count()));
+  backoff =
+      std::min(backoff, static_cast<double>(options_.max_backoff.count()));
   double factor = 1.0;
   if (options_.jitter > 0.0) {
     Rng rng(jitter_state_++);

@@ -1,6 +1,5 @@
 #include "skycube/skycube.h"
 
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,27 +17,8 @@ namespace {
 uint64_t ProjectionHash(const Dataset& data, ObjectId id, DimMask subspace) {
   uint64_t h = 0x5851F42D4C957F2DULL ^ subspace;
   const double* row = data.Row(id);
-  ForEachDim(subspace, [&](int dim) { h = HashCombine(h, HashDouble(row[dim])); });
-  return h;
-}
-
-// Below this many candidates a node's skyline goes through the scalar
-// kernels: the ranked path's block gather and per-window setup only pay
-// for themselves on larger inputs (both paths return identical results).
-constexpr size_t kRankedMinCandidates = 1024;
-
-// Build the RankedView up front only for deep lattices: with 2^d − 1 nodes
-// the build cost amortizes over enough windows. Shallower cubes engage the
-// ranked path late, once the full-space skyline reveals large windows.
-constexpr int kRankedMinLatticeDims = 9;
-
-// Ranked twin: equal projections have equal rank tuples and vice versa, so
-// hashing ranks groups objects exactly like hashing values.
-uint64_t ProjectionHashRanked(const RankedView& view, ObjectId id,
-                              DimMask subspace) {
-  uint64_t h = 0x5851F42D4C957F2DULL ^ subspace;
   ForEachDim(subspace,
-             [&](int dim) { h = HashCombine(h, view.column(dim)[id]); });
+             [&](int dim) { h = HashCombine(h, HashDouble(row[dim])); });
   return h;
 }
 
@@ -60,23 +40,6 @@ std::vector<ObjectId> ExpandTies(const Dataset& data, DimMask subspace,
   return candidates;
 }
 
-std::vector<ObjectId> ExpandTiesRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& parent_skyline) {
-  std::unordered_set<uint64_t> hashes;
-  hashes.reserve(parent_skyline.size() * 2);
-  for (ObjectId id : parent_skyline) {
-    hashes.insert(ProjectionHashRanked(view, id, subspace));
-  }
-  std::vector<ObjectId> candidates;
-  for (ObjectId id = 0; id < view.num_objects(); ++id) {
-    if (hashes.count(ProjectionHashRanked(view, id, subspace)) > 0) {
-      candidates.push_back(id);
-    }
-  }
-  return candidates;
-}
-
 // Gosper's hack: next integer with the same popcount.
 DimMask NextSamePopcount(DimMask v) {
   const DimMask c = v & (~v + 1);
@@ -89,21 +52,10 @@ DimMask NextSamePopcount(DimMask v) {
 void ForEachSubspaceSkyline(
     const Dataset& data, const SkycubeOptions& options,
     const std::function<void(DimMask, const std::vector<ObjectId>&)>& visit,
-    SkycubeStats* stats, const RankedView* ranked) {
+    SkycubeStats* stats) {
   SKYCUBE_CHECK_MSG(data.num_objects() > 0, "empty dataset");
   const int d = data.num_dims();
   const DimMask full = data.full_mask();
-  // Engage the ranked kernels only when the traversal has enough window
-  // work to repay the RankedView build: up front for deep lattices (many
-  // nodes), or once the full-space skyline turns out large (big windows
-  // all the way down). Identical results either way; `force` is for
-  // equivalence tests on small inputs.
-  std::optional<RankedView> local_ranked;
-  if (ranked == nullptr && options.use_ranked_kernels &&
-      (options.force_ranked_kernels || d >= kRankedMinLatticeDims)) {
-    local_ranked.emplace(data);
-    ranked = &*local_ranked;
-  }
   SkycubeStats local_stats;
   std::unordered_map<DimMask, std::vector<ObjectId>> parent_level;
   std::unordered_map<DimMask, std::vector<ObjectId>> current_level;
@@ -129,10 +81,7 @@ void ForEachSubspaceSkyline(
           for (size_t i = begin; i < end; ++i) {
             const DimMask node = level_masks[i];
             if (level == d || !options.share_parent_candidates) {
-              level_skylines[i] =
-                  ranked != nullptr
-                      ? ComputeSkylineRanked(*ranked, node, options.algorithm)
-                      : ComputeSkyline(data, node, options.algorithm);
+              level_skylines[i] = ComputeSkyline(data, node);
               continue;
             }
             // Any parent works; use the one adding the lowest missing dim.
@@ -141,29 +90,10 @@ void ForEachSubspaceSkyline(
             auto it = parent_level.find(parent);
             SKYCUBE_CHECK_MSG(it != parent_level.end(),
                               "parent level missing — traversal bug");
-            if (ranked != nullptr) {
-              const std::vector<ObjectId> candidates =
-                  ExpandTiesRanked(*ranked, node, it->second);
-              // The ranked window's block gather and flag tiles only
-              // amortize over enough candidate rows; tiny nodes are
-              // cheaper through the scalar path (identical output).
-              level_skylines[i] =
-                  candidates.size() >= kRankedMinCandidates
-                      ? ComputeSkylineAmongRanked(*ranked, node, candidates,
-                                                  options.algorithm)
-                      : ComputeSkylineAmong(data, node, candidates,
-                                            options.algorithm);
-            } else {
-              const std::vector<ObjectId> candidates =
-                  ExpandTies(data, node, it->second);
-              level_skylines[i] =
-                  ComputeSkylineAmong(data, node, candidates,
-                                      options.algorithm);
-            }
+            level_skylines[i] = ComputeSkylineAmong(
+                data, node, ExpandTies(data, node, it->second));
           }
         });
-    const size_t top_skyline_size =
-        level == d ? level_skylines.front().size() : 0;
     for (size_t i = 0; i < level_masks.size(); ++i) {
       ++local_stats.subspaces_visited;
       local_stats.total_skyline_objects += level_skylines[i].size();
@@ -174,13 +104,6 @@ void ForEachSubspaceSkyline(
     }
     parent_level = std::move(current_level);
     current_level.clear();
-    // Late engage: a large full-space skyline predicts large subspace
-    // windows for the whole traversal.
-    if (level == d && ranked == nullptr && options.use_ranked_kernels &&
-        top_skyline_size >= kRankedMinCandidates) {
-      local_ranked.emplace(data);
-      ranked = &*local_ranked;
-    }
   }
   if (stats != nullptr) *stats = local_stats;
 }

@@ -27,15 +27,12 @@
 
 #include "common/subspace.h"
 #include "dataset/dataset.h"
-#include "dataset/ranked_view.h"
 #include "skyline/algorithms.h"
 
 namespace skycube {
 
 /// Options for skycube computation.
 struct SkycubeOptions {
-  /// Per-subspace skyline algorithm.
-  SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline;
   /// Reuse the parent subspace's skyline (plus projection ties) as the
   /// candidate set — the "shared sorted lists" device of Skyey. Turning it
   /// off recomputes every subspace from the full object set (ablation).
@@ -45,14 +42,6 @@ struct SkycubeOptions {
   /// parallel. 1 = sequential (default); 0 = all hardware threads. Visit
   /// order and results are identical regardless of the value.
   int num_threads = 1;
-  /// Run subspace skylines on the rank-compressed columnar kernels when
-  /// the workload warrants it (one RankedView built lazily, or passed in
-  /// by the caller). Results are bit-for-bit identical to the double path.
-  bool use_ranked_kernels = true;
-  /// Skip the workload-size heuristics and always engage the ranked
-  /// kernels when use_ranked_kernels is set (used by equivalence tests to
-  /// exercise the ranked path on small inputs).
-  bool force_ranked_kernels = false;
 };
 
 /// Statistics of a skycube computation.
@@ -65,16 +54,15 @@ struct SkycubeStats {
 };
 
 /// Streams the skyline of every non-empty subspace of `data`, top-down
-/// (full space first, then all (d−1)-subspaces, ...). `visit` receives the
-/// subspace mask and its ascending skyline ids, always in the sequential
-/// traversal order even when `options.num_threads` fans the level out.
-/// Memory holds at most two lattice levels of skylines at a time.
-/// `ranked`, when non-null, must view `data` and outlive the call — it
-/// saves rebuilding the view when the caller already has one.
+/// (full space first, then all (d−1)-subspaces, ...), each computed with
+/// SFS (ComputeSkylineAmong's default). `visit` receives the subspace mask
+/// and its ascending skyline ids, always in the sequential traversal order
+/// even when `options.num_threads` fans the level out. Memory holds at most
+/// two lattice levels of skylines at a time.
 void ForEachSubspaceSkyline(
     const Dataset& data, const SkycubeOptions& options,
     const std::function<void(DimMask, const std::vector<ObjectId>&)>& visit,
-    SkycubeStats* stats = nullptr, const RankedView* ranked = nullptr);
+    SkycubeStats* stats = nullptr);
 
 /// A fully materialized skycube: every subspace's skyline, queryable by
 /// mask. Memory is Θ(Σ|Sky(B)|); prefer ForEachSubspaceSkyline for counts.
@@ -91,7 +79,9 @@ class Skycube {
   int num_dims() const { return num_dims_; }
 
   /// Σ over subspaces of |Sky(B)|.
-  uint64_t total_skyline_objects() const { return stats_.total_skyline_objects; }
+  uint64_t total_skyline_objects() const {
+    return stats_.total_skyline_objects;
+  }
 
   const SkycubeStats& stats() const { return stats_; }
 

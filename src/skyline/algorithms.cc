@@ -34,10 +34,9 @@ std::vector<ObjectId> ComputeSkyline(const Dataset& data, DimMask subspace,
   return ComputeSkylineAmong(data, subspace, all, algorithm);
 }
 
-std::vector<ObjectId> ComputeSkylineAmong(const Dataset& data,
-                                          DimMask subspace,
-                                          const std::vector<ObjectId>& candidates,
-                                          SkylineAlgorithm algorithm) {
+std::vector<ObjectId> ComputeSkylineAmong(
+    const Dataset& data, DimMask subspace,
+    const std::vector<ObjectId>& candidates, SkylineAlgorithm algorithm) {
   SKYCUBE_CHECK_MSG(subspace != 0, "subspace must be non-empty");
   SKYCUBE_CHECK_MSG(IsSubsetOf(subspace, data.full_mask()),
                     "subspace outside the dataset's dimension space");
@@ -56,41 +55,6 @@ std::vector<ObjectId> ComputeSkylineAmong(const Dataset& data,
       return SkylineBitmap(data, subspace, candidates);
     case SkylineAlgorithm::kBbs:
       return SkylineBbs(data, subspace, candidates);
-  }
-  SKYCUBE_CHECK(false);
-  return {};
-}
-
-std::vector<ObjectId> ComputeSkylineRanked(const RankedView& view,
-                                           DimMask subspace,
-                                           SkylineAlgorithm algorithm) {
-  std::vector<ObjectId> all(view.num_objects());
-  std::iota(all.begin(), all.end(), 0);
-  return ComputeSkylineAmongRanked(view, subspace, all, algorithm);
-}
-
-std::vector<ObjectId> ComputeSkylineAmongRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates, SkylineAlgorithm algorithm) {
-  SKYCUBE_CHECK_MSG(subspace != 0, "subspace must be non-empty");
-  SKYCUBE_CHECK_MSG(IsSubsetOf(subspace, view.data().full_mask()),
-                    "subspace outside the dataset's dimension space");
-  switch (algorithm) {
-    case SkylineAlgorithm::kBlockNestedLoops:
-      return SkylineBnlRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kSortFilterSkyline:
-      return SkylineSfsRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kDivideAndConquer:
-      return SkylineDivideAndConquerRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kLess:
-      return SkylineLessRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kIndex:
-      return SkylineIndexRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kBitmap:
-      return SkylineBitmapRanked(view, subspace, candidates);
-    case SkylineAlgorithm::kBbs:
-      // No ranked variant — BBS's mindist search wants real coordinates.
-      return SkylineBbs(view.data(), subspace, candidates);
   }
   SKYCUBE_CHECK(false);
   return {};

@@ -1,9 +1,13 @@
 // Single-subspace skyline algorithms from the related work the paper builds
 // on: block-nested-loops (BNL) and divide-and-conquer (Börzsönyi et al.,
-// ICDE'01), sort-first-skyline (SFS, Chomicki et al., ICDE'03) and LESS
-// (Godfrey et al., VLDB'05). All compute the identical set of skyline
-// object ids; they differ only in cost profile. SFS is the library default
-// and the workhorse inside Skyey and Stellar.
+// ICDE'01), sort-first-skyline (SFS, Chomicki et al., ICDE'03), LESS
+// (Godfrey et al., VLDB'05), Tan et al.'s Index and Bitmap methods
+// (VLDB'01) and BBS (Papadias et al., SIGMOD'03). All read the dataset's
+// doubles directly and compute the identical set of skyline object ids;
+// they differ only in cost profile. SFS is the default and the only one
+// the library itself runs (Stellar's step 1, maintenance, Skyey, the
+// skycube traversal and the router's merge); the others are kept for the
+// algorithm tests and bench_skyline_algos.
 //
 // Semantics with duplicates/ties: an object is in the skyline of B iff no
 // other object *dominates* it in B; objects whose B-projections are equal do
@@ -17,7 +21,6 @@
 
 #include "common/subspace.h"
 #include "dataset/dataset.h"
-#include "dataset/ranked_view.h"
 
 namespace skycube {
 
@@ -62,7 +65,7 @@ inline constexpr SkylineAlgorithm kAllSkylineAlgorithmsWithBitmap[] = {
     SkylineAlgorithm::kBitmap,
 };
 
-/// Display name ("BNL", "SFS", "DC", "LESS").
+/// Display name ("BNL", "SFS", "DC", "LESS", "Index", "Bitmap", "BBS").
 const char* SkylineAlgorithmName(SkylineAlgorithm algorithm);
 
 /// Computes the skyline of `subspace` over all objects of `data` with the
@@ -97,39 +100,6 @@ std::vector<ObjectId> SkylineBitmap(const Dataset& data, DimMask subspace,
                                     const std::vector<ObjectId>& candidates);
 std::vector<ObjectId> SkylineBbs(const Dataset& data, DimMask subspace,
                                  const std::vector<ObjectId>& candidates);
-
-/// Rank-compressed fast paths (skyline/dominance_kernels.h): identical
-/// output to the double-precision entry points above — rank order equals
-/// value order, ties share a rank — but the inner loops run branch-poor
-/// integer batch kernels over the view's columns. Build the RankedView
-/// once per dataset and reuse it across subspaces/calls. BBS has no ranked
-/// variant; the dispatchers fall back to the double path via view.data().
-std::vector<ObjectId> ComputeSkylineRanked(
-    const RankedView& view, DimMask subspace,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
-std::vector<ObjectId> ComputeSkylineAmongRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSortFilterSkyline);
-
-std::vector<ObjectId> SkylineBnlRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineSfsRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineDivideAndConquerRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineLessRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineIndexRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
-std::vector<ObjectId> SkylineBitmapRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates);
 
 }  // namespace skycube
 

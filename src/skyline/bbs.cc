@@ -5,9 +5,10 @@
 //
 // The algorithm searches an R-tree best-first by *mindist* (the coordinate
 // sum of a node's lower corner / a point): a priority queue pops entries
-// in ascending mindist; an entry strictly dominated (at its lower corner)
-// by an already-found skyline point is discarded — every point inside such
-// a node is strictly dominated too; surviving leaf points are skyline.
+// in ascending mindist (ties: nodes first, then points lexicographically);
+// an entry strictly dominated (at its lower corner) by an already-found
+// skyline point is discarded — every point inside such a node is strictly
+// dominated too; surviving leaf points are skyline.
 // I/O-optimality is the original's claim; in this in-memory setting BBS's
 // value is touching only the dominance-relevant corner of the tree.
 //
@@ -52,9 +53,6 @@ struct Entry {
   double mindist;
   uint32_t index;  // node index, or point index when is_point
   bool is_point;
-  bool operator>(const Entry& other) const {
-    return mindist > other.mindist;
-  }
 };
 
 class BbsTree {
@@ -89,15 +87,19 @@ class BbsTree {
     std::vector<ObjectId> skyline;
     if (nodes_.empty()) return skyline;
     std::vector<const double*> skyline_points;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+    const auto pops_after = [this](const Entry& a, const Entry& b) {
+      return PopsAfter(a, b);
+    };
+    std::priority_queue<Entry, std::vector<Entry>, decltype(pops_after)> heap(
+        pops_after);
     heap.push({nodes_.back().mindist,
                static_cast<uint32_t>(nodes_.size() - 1), false});
     while (!heap.empty()) {
       const Entry entry = heap.top();
       heap.pop();
       if (entry.is_point) {
-        // A point pops only after every entry with smaller coordinate sum —
-        // in particular after all of its potential dominators.
+        // A point pops only after all of its potential dominators and the
+        // nodes that hold them (PopsAfter).
         const double* point = permuted_points_[entry.index].data();
         if (!DominatedBySkyline(skyline_points, point)) {
           skyline.push_back(permuted_ids_[entry.index]);
@@ -197,6 +199,18 @@ class BbsTree {
       }
       level = std::move(next);
     }
+  }
+
+  // Heap order: ascending mindist; at equal mindist nodes before points,
+  // and points in lexicographic order. A dominator's coordinate sum, and
+  // the corner sums of the nodes holding it, are never larger than its
+  // victim's, but rounding can make them equal; the tie rules still pop
+  // the dominator first.
+  bool PopsAfter(const Entry& a, const Entry& b) const {
+    if (a.mindist != b.mindist) return a.mindist > b.mindist;
+    if (a.is_point != b.is_point) return a.is_point;
+    if (!a.is_point) return false;
+    return permuted_points_[b.index] < permuted_points_[a.index];
   }
 
   static double Sum(const std::vector<double>& values) {

@@ -12,11 +12,12 @@
 // weakness. Intended for low-cardinality (truncated / categorical) data;
 // the implementation refuses beyond ~1 GiB of slices.
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/bitset.h"
+#include "common/macros.h"
 #include "skyline/algorithms.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -85,80 +86,6 @@ std::vector<ObjectId> SkylineBitmap(const Dataset& data, DimMask subspace,
       if (rank > 0) less_any |= slices[k].leq[rank - 1];
     }
     // q dominates candidate j iff q ≤ j everywhere and < somewhere.
-    if (!leq_all.IntersectsWith(less_any)) {
-      skyline.push_back(candidates[j]);
-    }
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-// Ranked fast path. The RankedView already ranked every dimension once for
-// the whole dataset, so the per-call value sort disappears: global ranks are
-// densified over the candidate subset with an integer sort/unique (when the
-// candidates are the whole dataset the global ranks are already dense and
-// even that collapses to a copy).
-std::vector<ObjectId> SkylineBitmapRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  const size_t m = candidates.size();
-  if (m == 0) return {};
-  const std::vector<int> dims = MaskDims(subspace);
-  const bool full_set = m == view.num_objects();
-
-  // Densify global ranks over the candidate subset and check the memory
-  // budget before building slices.
-  std::vector<std::vector<uint32_t>> local_rank(dims.size());
-  std::vector<uint32_t> num_local(dims.size());
-  uint64_t total_bits = 0;
-  for (size_t k = 0; k < dims.size(); ++k) {
-    const uint32_t* col = view.column(dims[k]);
-    std::vector<uint32_t>& ranks = local_rank[k];
-    ranks.reserve(m);
-    for (ObjectId id : candidates) ranks.push_back(col[id]);
-    if (full_set) {
-      num_local[k] = view.num_distinct(dims[k]);
-    } else {
-      std::vector<uint32_t> distinct = ranks;
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      for (uint32_t& r : ranks) {
-        r = static_cast<uint32_t>(
-            std::lower_bound(distinct.begin(), distinct.end(), r) -
-            distinct.begin());
-      }
-      num_local[k] = static_cast<uint32_t>(distinct.size());
-    }
-    total_bits += static_cast<uint64_t>(num_local[k]) * m;
-  }
-  SKYCUBE_CHECK_MSG(total_bits <= (uint64_t{1} << 33),
-                    "bitmap skyline slices exceed 1 GiB — use SFS/LESS");
-
-  std::vector<DimSlices> slices(dims.size());
-  for (size_t k = 0; k < dims.size(); ++k) {
-    DimSlices& dim_slices = slices[k];
-    dim_slices.leq.assign(num_local[k], DynamicBitset(m));
-    dim_slices.rank_of_candidate = std::move(local_rank[k]);
-    for (size_t j = 0; j < m; ++j) {
-      dim_slices.leq[dim_slices.rank_of_candidate[j]].Set(j);
-    }
-    for (size_t r = 1; r < dim_slices.leq.size(); ++r) {
-      dim_slices.leq[r] |= dim_slices.leq[r - 1];
-    }
-  }
-
-  std::vector<ObjectId> skyline;
-  DynamicBitset leq_all(m);
-  DynamicBitset less_any(m);
-  for (size_t j = 0; j < m; ++j) {
-    leq_all = slices[0].leq[slices[0].rank_of_candidate[j]];
-    less_any = DynamicBitset(m);
-    for (size_t k = 0; k < dims.size(); ++k) {
-      const uint32_t rank = slices[k].rank_of_candidate[j];
-      if (k > 0) leq_all &= slices[k].leq[rank];
-      if (rank > 0) less_any |= slices[k].leq[rank - 1];
-    }
     if (!leq_all.IntersectsWith(less_any)) {
       skyline.push_back(candidates[j]);
     }

@@ -8,7 +8,6 @@
 
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -38,25 +37,6 @@ std::vector<ObjectId> SkylineBnl(const Dataset& data, DimMask subspace,
   }
   std::sort(window.begin(), window.end());
   return window;
-}
-
-// Ranked fast path: the scalar loop's combined compare-and-evict pass
-// becomes two batch probes over a columnar window — "does any window row
-// dominate the candidate?" and, only if not, "evict the rows the candidate
-// dominates". Equal rows dominate in neither direction, so the window holds
-// exactly the same set as the scalar version after every step.
-std::vector<ObjectId> SkylineBnlRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
-  for (ObjectId candidate : candidates) {
-    if (window.AnyDominates(candidate)) continue;
-    window.EvictDominatedBy(candidate);
-    window.Append(candidate);
-  }
-  std::vector<ObjectId> skyline = window.ids();
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
 }
 
 }  // namespace skycube

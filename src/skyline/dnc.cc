@@ -9,7 +9,6 @@
 
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -53,7 +52,8 @@ std::vector<ObjectId> DncRecurse(const Dataset& data, DimMask subspace,
   for (ObjectId id : ids) {
     (data.Value(id, split_dim) < median ? low : high).push_back(id);
   }
-  std::vector<ObjectId> low_skyline = DncRecurse(data, subspace, std::move(low));
+  std::vector<ObjectId> low_skyline =
+      DncRecurse(data, subspace, std::move(low));
   std::vector<ObjectId> high_skyline =
       DncRecurse(data, subspace, std::move(high));
   // Merge: low skyline survives; high skyline entries survive unless some
@@ -74,75 +74,12 @@ std::vector<ObjectId> DncRecurse(const Dataset& data, DimMask subspace,
   return merged;
 }
 
-// Ranked recursion: identical structure, but medians are taken over integer
-// ranks (rank order equals value order, so the splits partition the same
-// way) and the merge filter probes the low half's skyline as one columnar
-// block instead of row-by-row scalar scans.
-std::vector<ObjectId> DncRecurseRanked(const RankedView& view,
-                                       DimMask subspace,
-                                       std::vector<ObjectId> ids) {
-  if (ids.size() <= kDncBaseCase) {
-    return SkylineBnlRanked(view, subspace, ids);
-  }
-  int split_dim = -1;
-  uint32_t median = 0;
-  ForEachDim(subspace, [&](int dim) {
-    if (split_dim != -1) return;
-    const uint32_t* col = view.column(dim);
-    std::vector<uint32_t> ranks;
-    ranks.reserve(ids.size());
-    for (ObjectId id : ids) ranks.push_back(col[id]);
-    auto mid = ranks.begin() + ranks.size() / 2;
-    std::nth_element(ranks.begin(), mid, ranks.end());
-    const uint32_t candidate_median = *mid;
-    for (uint32_t r : ranks) {
-      if (r < candidate_median) {
-        split_dim = dim;
-        median = candidate_median;
-        break;
-      }
-    }
-  });
-  if (split_dim == -1) {
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-  const uint32_t* split_col = view.column(split_dim);
-  std::vector<ObjectId> low;
-  std::vector<ObjectId> high;
-  for (ObjectId id : ids) {
-    (split_col[id] < median ? low : high).push_back(id);
-  }
-  std::vector<ObjectId> low_skyline =
-      DncRecurseRanked(view, subspace, std::move(low));
-  std::vector<ObjectId> high_skyline =
-      DncRecurseRanked(view, subspace, std::move(high));
-  const RankedBlock low_block = RankedBlock::Gather(view, subspace, low_skyline);
-  std::vector<uint32_t> probe(
-      static_cast<size_t>(std::max(low_block.num_packed_dims(), 1)));
-  std::vector<ObjectId> merged = std::move(low_skyline);
-  for (ObjectId candidate : high_skyline) {
-    low_block.GatherProbe(candidate, probe.data());
-    if (!BlockAnyDominates(low_block, probe.data())) {
-      merged.push_back(candidate);
-    }
-  }
-  std::sort(merged.begin(), merged.end());
-  return merged;
-}
-
 }  // namespace
 
 std::vector<ObjectId> SkylineDivideAndConquer(
     const Dataset& data, DimMask subspace,
     const std::vector<ObjectId>& candidates) {
   return DncRecurse(data, subspace, candidates);
-}
-
-std::vector<ObjectId> SkylineDivideAndConquerRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  return DncRecurseRanked(view, subspace, candidates);
 }
 
 }  // namespace skycube

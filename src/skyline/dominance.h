@@ -76,7 +76,10 @@ inline bool Dominates(const Dataset& data, ObjectId a, ObjectId b,
 
 /// Monotone scoring function for SFS/LESS presorting: the sum of the
 /// projection's coordinates. If u dominates v in `subspace` then
-/// SortScore(u) < SortScore(v) strictly.
+/// SortScore(u) <= SortScore(v). The exact sums differ strictly, but
+/// rounding, or overflow to infinity, can make the computed ones equal, so
+/// a dominator may sort after an object it dominates when their scores tie
+/// (SFS handles that case, skyline/sfs.cc).
 inline double SortScore(const double* row, DimMask subspace) {
   double sum = 0;
   while (subspace != 0) {

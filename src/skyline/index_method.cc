@@ -18,7 +18,6 @@
 
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -33,20 +32,6 @@ double MinCoordinate(const double* row, DimMask subspace) {
 double MaxCoordinate(const double* row, DimMask subspace) {
   double best = row[LowestDim(subspace)];
   ForEachDim(subspace, [&](int dim) { best = std::max(best, row[dim]); });
-  return best;
-}
-
-uint32_t MinRank(const RankedView& view, ObjectId id, DimMask subspace) {
-  uint32_t best = view.Rank(id, LowestDim(subspace));
-  ForEachDim(subspace,
-             [&](int dim) { best = std::min(best, view.Rank(id, dim)); });
-  return best;
-}
-
-uint32_t MaxRank(const RankedView& view, ObjectId id, DimMask subspace) {
-  uint32_t best = view.Rank(id, LowestDim(subspace));
-  ForEachDim(subspace,
-             [&](int dim) { best = std::max(best, view.Rank(id, dim)); });
   return best;
 }
 
@@ -101,44 +86,6 @@ std::vector<ObjectId> SkylineIndex(const Dataset& data, DimMask subspace,
   }
   std::sort(window.begin(), window.end());
   return window;
-}
-
-// Ranked fast path. Both monotonicity facts carry over to dense ranks:
-// q dominating p gives rank_q ≤ rank_p per dimension, hence
-// minRank(q) ≤ minRank(p); and maxRank(q) < minRank(p) means q is strictly
-// below p on every dimension. The window becomes a columnar block probed
-// with the batch kernels (the set result is order-independent, so a
-// different-but-valid processing order is fine).
-std::vector<ObjectId> SkylineIndexRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct Entry {
-    uint32_t min_rank;
-    ObjectId id;
-  };
-  std::vector<Entry> order;
-  order.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    order.push_back({MinRank(view, id, subspace), id});
-  }
-  std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
-    if (a.min_rank != b.min_rank) return a.min_rank < b.min_rank;
-    return a.id < b.id;
-  });
-
-  RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
-  uint32_t best_window_max = std::numeric_limits<uint32_t>::max();
-  for (const Entry& entry : order) {
-    if (best_window_max < entry.min_rank) break;
-    if (window.AnyDominates(entry.id)) continue;
-    window.EvictDominatedBy(entry.id);
-    window.Append(entry.id);
-    best_window_max =
-        std::min(best_window_max, MaxRank(view, entry.id, subspace));
-  }
-  std::vector<ObjectId> skyline = window.ids();
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
 }
 
 }  // namespace skycube

@@ -1,15 +1,14 @@
 // LESS — linear elimination sort for skyline (Godfrey, Shipley, Gryz,
 // VLDB 2005). Two ideas on top of SFS: (1) during the initial pass an
 // elimination-filter (EF) window of a few best-scoring objects discards
-// clearly dominated records before the sort; (2) the final pass is the SFS
-// filter over the survivors. On average the sort then touches far fewer
-// records than SFS.
+// clearly dominated records before the sort; (2) the final pass is SFS
+// over the survivors. On average the sort then touches far fewer records
+// than SFS.
 #include <algorithm>
 #include <vector>
 
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -26,25 +25,27 @@ struct Scored {
 
 std::vector<ObjectId> SkylineLess(const Dataset& data, DimMask subspace,
                                   const std::vector<ObjectId>& candidates) {
-  // Pass 1: eliminate records dominated by the EF window while collecting
-  // scores. The EF window retains the lowest-scoring objects seen so far
-  // (low score = likely dominator).
+  // Pass 1: eliminate records dominated by the EF window. The EF window
+  // retains the lowest-scoring objects seen so far (low score = likely
+  // dominator).
   std::vector<Scored> ef;  // kept sorted by score ascending, small
-  std::vector<Scored> survivors;
+  std::vector<ObjectId> survivors;
   survivors.reserve(candidates.size());
   for (ObjectId id : candidates) {
     const double* row = data.Row(id);
     const double score = SortScore(row, subspace);
     bool dominated = false;
     for (const Scored& entry : ef) {
-      if (entry.score >= score) break;  // can't dominate: score not smaller
+      // A dominator never scores higher; one whose score ties by rounding
+      // is skipped here and left to pass 2.
+      if (entry.score >= score) break;
       if (RowDominates(data.Row(entry.id), row, subspace)) {
         dominated = true;
         break;
       }
     }
     if (dominated) continue;
-    survivors.push_back({score, id});
+    survivors.push_back(id);
     // Update EF window: insert, keep the kEfWindowSize lowest scores.
     if (ef.size() < kEfWindowSize || score < ef.back().score) {
       auto pos = std::lower_bound(
@@ -56,73 +57,7 @@ std::vector<ObjectId> SkylineLess(const Dataset& data, DimMask subspace,
   }
 
   // Pass 2: SFS over the survivors.
-  std::sort(survivors.begin(), survivors.end(),
-            [](const Scored& a, const Scored& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.id < b.id;
-            });
-  std::vector<ObjectId> skyline;
-  for (const Scored& entry : survivors) {
-    const double* row = data.Row(entry.id);
-    bool dominated = false;
-    for (ObjectId kept : skyline) {
-      if (RowDominates(data.Row(kept), row, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) skyline.push_back(entry.id);
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-// Ranked fast path: integer rank-sum scores for both passes; the EF window
-// stays pairwise (it holds ≤ kEfWindowSize entries), the final SFS filter
-// runs over a batch columnar window.
-std::vector<ObjectId> SkylineLessRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct RankScored {
-    uint64_t key;
-    ObjectId id;
-  };
-  std::vector<RankScored> ef;
-  std::vector<RankScored> survivors;
-  survivors.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    const uint64_t key = view.RankSortKey(id, subspace);
-    bool dominated = false;
-    for (const RankScored& entry : ef) {
-      if (entry.key >= key) break;  // can't dominate: key not smaller
-      if (RankedDominates(view, entry.id, id, subspace)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (dominated) continue;
-    survivors.push_back({key, id});
-    if (ef.size() < kEfWindowSize || key < ef.back().key) {
-      auto pos = std::lower_bound(
-          ef.begin(), ef.end(), key,
-          [](const RankScored& entry, uint64_t k) { return entry.key < k; });
-      ef.insert(pos, {key, id});
-      if (ef.size() > kEfWindowSize) ef.pop_back();
-    }
-  }
-
-  std::sort(survivors.begin(), survivors.end(),
-            [](const RankScored& a, const RankScored& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.id < b.id;
-            });
-  RankedWindow window(view, subspace, std::min<size_t>(survivors.size(), 256));
-  for (const RankScored& entry : survivors) {
-    if (!window.AnyDominates(entry.id)) window.Append(entry.id);
-  }
-  std::vector<ObjectId> skyline = window.ids();
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
+  return SkylineSfs(data, subspace, survivors);
 }
 
 }  // namespace skycube

@@ -1,13 +1,13 @@
 // Sort-filter-skyline (Chomicki, Godfrey, Gryz, Liang, ICDE 2003).
 // Objects are presorted by a monotone score (here the coordinate sum over
-// the subspace); after the sort no object can dominate an earlier one, so a
-// single pass with a grow-only window suffices — no evictions, unlike BNL.
+// the subspace); after the sort no object can dominate one with a smaller
+// score, so a single pass with a window that evicts only among equal
+// scores suffices — unlike BNL, which may evict anywhere in its window.
 #include <algorithm>
 #include <vector>
 
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
-#include "skyline/dominance_kernels.h"
 
 namespace skycube {
 
@@ -27,48 +27,35 @@ std::vector<ObjectId> SkylineSfs(const Dataset& data, DimMask subspace,
     return a.id < b.id;
   });
 
+  // skyline[ties..] are the kept objects whose score equals the current
+  // one. Rounding can give a dominator the same score as an object it
+  // dominates and sort it later (SortScore), so within equal scores the
+  // window compares both ways and evicts, as BNL does.
   std::vector<ObjectId> skyline;
+  size_t ties = 0;
+  double tie_score = 0;
   for (const Scored& entry : order) {
+    if (skyline.empty() || entry.score != tie_score) {
+      ties = skyline.size();
+      tie_score = entry.score;
+    }
     const double* row = data.Row(entry.id);
     bool dominated = false;
-    for (ObjectId kept : skyline) {
-      if (RowDominates(data.Row(kept), row, subspace)) {
-        dominated = true;
-        break;
-      }
+    for (size_t i = 0; i < ties && !dominated; ++i) {
+      dominated = RowDominates(data.Row(skyline[i]), row, subspace);
     }
+    if (dominated) continue;
+    // Kept objects never dominate each other, so once `row` is dominated
+    // it dominates none of them and nothing is evicted.
+    size_t keep = ties;
+    for (size_t i = ties; i < skyline.size(); ++i) {
+      const DomOrder cmp = CompareRows(data.Row(skyline[i]), row, subspace);
+      dominated |= cmp == DomOrder::kFirstDominates;
+      if (cmp != DomOrder::kSecondDominates) skyline[keep++] = skyline[i];
+    }
+    skyline.resize(keep);
     if (!dominated) skyline.push_back(entry.id);
   }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
-
-// Ranked fast path: the monotone presort key becomes the integer rank sum
-// (dominance implies a strictly smaller rank sum, same as the coordinate
-// sum over doubles), and the window scan becomes one batch probe over a
-// grow-only columnar block.
-std::vector<ObjectId> SkylineSfsRanked(
-    const RankedView& view, DimMask subspace,
-    const std::vector<ObjectId>& candidates) {
-  struct Scored {
-    uint64_t key;
-    ObjectId id;
-  };
-  std::vector<Scored> order;
-  order.reserve(candidates.size());
-  for (ObjectId id : candidates) {
-    order.push_back({view.RankSortKey(id, subspace), id});
-  }
-  std::sort(order.begin(), order.end(), [](const Scored& a, const Scored& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id < b.id;
-  });
-
-  RankedWindow window(view, subspace, std::min<size_t>(candidates.size(), 256));
-  for (const Scored& entry : order) {
-    if (!window.AnyDominates(entry.id)) window.Append(entry.id);
-  }
-  std::vector<ObjectId> skyline = window.ids();
   std::sort(skyline.begin(), skyline.end());
   return skyline;
 }

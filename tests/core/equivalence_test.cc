@@ -131,6 +131,20 @@ TEST(EngineEquivalenceCorner, ExplicitDuplicates) {
   }
 }
 
+// Rows whose coordinate sums round (or overflow) to the same double, so a
+// sort-based skyline sees a score tie between row 1 and the row 0 it
+// dominates.
+TEST(EngineEquivalenceCorner, RoundedScoreTies) {
+  for (const Dataset& data :
+       {Dataset::FromRows({{1e17, 2}, {1e17, 1}}).value(),
+        Dataset::FromRows({{1.7e308, 1.1e308}, {1.7e308, 1.0e308}})
+            .value()}) {
+    const SkylineGroupSet reference = ComputeReferenceCube(data);
+    EXPECT_EQ(ComputeStellar(data), reference) << data.Value(0, 0);
+    EXPECT_EQ(ComputeSkyey(data), reference) << data.Value(0, 0);
+  }
+}
+
 // Single-object and single-dimension degenerate inputs.
 TEST(EngineEquivalenceCorner, DegenerateInputs) {
   {

@@ -55,14 +55,14 @@ SkylineGroup Group(std::vector<ObjectId> members, const char* subspace,
 // Figure 3(b): the complete set of skyline groups on S.
 SkylineGroupSet ExpectedRunningExampleCube() {
   SkylineGroupSet expected;
-  expected.push_back(Group({1}, "ABCD", {"AC", "CD"}, {2, 6, 8, 3}));    // P2
-  expected.push_back(Group({1, 2, 4}, "D", {"D"}, {3}));                 // P2P3P5
-  expected.push_back(Group({1, 3}, "C", {"C"}, {8}));                    // P2P4
-  expected.push_back(Group({1, 4}, "AD", {"A"}, {2, 3}));                // P2P5
-  expected.push_back(Group({2, 3, 4}, "B", {"B"}, {4}));                 // P3P4P5
-  expected.push_back(Group({2, 4}, "BCD", {"BD"}, {4, 9, 3}));           // P3P5
-  expected.push_back(Group({3}, "ABCD", {"BC"}, {6, 4, 8, 5}));          // P4
-  expected.push_back(Group({4}, "ABCD", {"AB"}, {2, 4, 9, 3}));          // P5
+  expected.push_back(Group({1}, "ABCD", {"AC", "CD"}, {2, 6, 8, 3}));  // P2
+  expected.push_back(Group({1, 2, 4}, "D", {"D"}, {3}));               // P2P3P5
+  expected.push_back(Group({1, 3}, "C", {"C"}, {8}));                  // P2P4
+  expected.push_back(Group({1, 4}, "AD", {"A"}, {2, 3}));              // P2P5
+  expected.push_back(Group({2, 3, 4}, "B", {"B"}, {4}));               // P3P4P5
+  expected.push_back(Group({2, 4}, "BCD", {"BD"}, {4, 9, 3}));         // P3P5
+  expected.push_back(Group({3}, "ABCD", {"BC"}, {6, 4, 8, 5}));        // P4
+  expected.push_back(Group({4}, "ABCD", {"AB"}, {2, 4, 9, 3}));        // P5
   NormalizeGroups(&expected);
   return expected;
 }

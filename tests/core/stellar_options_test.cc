@@ -37,7 +37,7 @@ TEST(StellarOptionsTest, StatsAreConsistent) {
   // singleton (possibly extended); weak sanity: groups ≥ 1.
   EXPECT_GE(stats.num_groups, 1u);
   EXPECT_GE(stats.seconds_total, 0.0);
-  EXPECT_EQ(stats.seconds_ranked_view, 0.0);  // Stellar builds no RankedView
+  EXPECT_EQ(stats.seconds_ranked_view, 0.0);  // no rank-compressed view
   EXPECT_GE(stats.seconds_total,
             stats.seconds_full_skyline + stats.seconds_matrices +
                 stats.seconds_seed_groups + stats.seconds_nonseed - 1e-6);

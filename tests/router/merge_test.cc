@@ -103,6 +103,25 @@ TEST(MergeSkylineCandidates, EqualRowsKeepEachOther) {
   EXPECT_EQ(merged, ComputeSkyline(data, data.full_mask()));
 }
 
+TEST(MergeSkylineCandidates, RoundedScoreTiesKeepOnlyTheDominator) {
+  // Row 1 dominates row 0, but their coordinate sums round (or overflow)
+  // to the same double: a sort-based merge must still drop row 0.
+  for (const Dataset& data :
+       {Dataset::FromRows({{1e17, 2}, {1e17, 1}}).value(),
+        Dataset::FromRows({{1.7e308, 1.1e308}, {1.7e308, 1.0e308}})
+            .value()}) {
+    const std::unique_ptr<RouterTopology> topology = LoadTopology(data);
+    EXPECT_EQ(MergeSkylineCandidates(topology->rows(), data.full_mask(),
+                                     {0, 1}),
+              (std::vector<ObjectId>{1}))
+        << data.Value(0, 0);
+    EXPECT_EQ(MergeSkylineCandidates(topology->rows(), data.full_mask(),
+                                     {1, 0}),
+              (std::vector<ObjectId>{1}))
+        << data.Value(0, 0);
+  }
+}
+
 TEST(MergeSkylineCandidates, SubsetCandidatesRefilterAmongThemselves) {
   // With only a subset offered (a degraded wave), the merge answers the
   // skyline OF that subset — the survivor semantics of a partial answer.

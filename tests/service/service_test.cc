@@ -151,8 +151,12 @@ TEST(SkycubeServiceTest, BatchMatchesSequentialExecution) {
     const DimMask subspace =
         static_cast<DimMask>(1 + rng.NextBounded(data.full_mask()));
     switch (rng.NextBounded(4)) {
-      case 0: batch.push_back(QueryRequest::SubspaceSkyline(subspace)); break;
-      case 1: batch.push_back(QueryRequest::SkylineCardinality(subspace)); break;
+      case 0:
+        batch.push_back(QueryRequest::SubspaceSkyline(subspace));
+        break;
+      case 1:
+        batch.push_back(QueryRequest::SkylineCardinality(subspace));
+        break;
       case 2:
         batch.push_back(QueryRequest::Membership(
             static_cast<ObjectId>(rng.NextBounded(data.num_objects())),

@@ -1,5 +1,6 @@
 // Tests for full skycube materialization and candidate sharing.
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +113,35 @@ TEST(SkycubeTest, TraversalIsTopDownByLevel) {
       },
       nullptr);
   EXPECT_EQ(previous_size, 1);
+}
+
+// The per-level fan-out must visit the same (subspace, skyline) sequence
+// as the sequential traversal.
+TEST(SkycubeTest, ParallelSkycubeDeterministic) {
+  SyntheticSpec spec;
+  spec.num_objects = 200;
+  spec.num_dims = 5;
+  spec.truncate_decimals = 2;
+  const Dataset data = GenerateSynthetic(spec);
+  std::vector<std::pair<DimMask, std::vector<ObjectId>>> reference;
+  ForEachSubspaceSkyline(
+      data, {}, [&](DimMask mask, const std::vector<ObjectId>& skyline) {
+        reference.emplace_back(mask, skyline);
+      });
+  for (int num_threads : {1, 0}) {
+    SkycubeOptions options;
+    options.num_threads = num_threads;
+    std::vector<std::pair<DimMask, std::vector<ObjectId>>> visited;
+    SkycubeStats stats;
+    ForEachSubspaceSkyline(
+        data, options,
+        [&](DimMask mask, const std::vector<ObjectId>& skyline) {
+          visited.emplace_back(mask, skyline);
+        },
+        &stats);
+    EXPECT_EQ(visited, reference) << "threads=" << num_threads;
+    EXPECT_EQ(stats.subspaces_visited, reference.size());
+  }
 }
 
 TEST(SkycubeTest, SingleDimensionDataset) {

@@ -59,6 +59,28 @@ TEST(SkylineAlgorithmsTest, AllObjectsIdentical) {
   }
 }
 
+// Pairs whose coordinate sums round (or overflow) to the same double: row 1
+// dominates row 0, but SortScore cannot tell them apart, so a presort that
+// breaks score ties by id alone would let row 0 into the window first.
+std::vector<Dataset> RoundingTiePairs() {
+  return {
+      Dataset::FromRows({{1e17, 2}, {1e17, 1}}).value(),
+      Dataset::FromRows({{1.7e308, 1.1e308}, {1.7e308, 1.0e308}}).value(),
+  };
+}
+
+TEST(SkylineAlgorithmsTest, RoundedScoreTiesKeepOnlyTheDominator) {
+  for (const Dataset& data : RoundingTiePairs()) {
+    ASSERT_EQ(SortScore(data.Row(0), 0b11), SortScore(data.Row(1), 0b11));
+    ASSERT_EQ(ReferenceSkyline(data, 0b11), (std::vector<ObjectId>{1}));
+    for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
+      EXPECT_EQ(ComputeSkyline(data, 0b11, algorithm),
+                ReferenceSkyline(data, 0b11))
+          << SkylineAlgorithmName(algorithm) << " " << data.Value(0, 0);
+    }
+  }
+}
+
 TEST(SkylineAlgorithmsTest, CandidateRestrictionComputesSubsetSkyline) {
   const Dataset data = TicketData();
   // Restricted to {1, 3, 5}: 3 and 5 are no longer dominated by excluded

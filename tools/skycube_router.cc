@@ -2,10 +2,10 @@
 // (docs/SHARDING.md). Speaks the src/net binary protocol on both sides:
 // clients connect to it exactly like to a single skycube_serve socket; it
 // fans each query out to the shard backends (tools/skycube_serve
-// --shard-index), merges the per-shard subspace skylines with one ranked
-// dominance refilter pass, and degrades explicitly — a down or over-budget
-// shard yields a partial-flagged answer over the survivors, never a wrong
-// one.
+// --shard-index), merges the per-shard subspace skylines with one SFS
+// refilter pass over their union, and degrades explicitly — a down or
+// over-budget shard yields a partial-flagged answer over the survivors,
+// never a wrong one.
 //
 // The router bootstraps its own full row copy from the same data source
 // the shards loaded (global id = source position, owner = consistent-hash
