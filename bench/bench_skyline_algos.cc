@@ -1,7 +1,6 @@
-// google-benchmark microbenchmarks of the single-space skyline substrate:
-// BNL vs SFS vs D&C vs LESS vs Index vs Bitmap vs BBS across the three
-// distributions and sizes. (Substrate ablation — the related-work
-// algorithms the paper builds on; the library itself runs SFS.)
+// google-benchmark microbenchmarks of the library's single-space skyline
+// (SFS, ComputeSkyline) on the full space, across the three distributions
+// and sizes.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_gbench_main.h"
@@ -22,15 +21,13 @@ Dataset MakeData(Distribution distribution, size_t n, int d) {
   return GenerateSynthetic(spec);
 }
 
-void RunSkyline(benchmark::State& state, Distribution distribution,
-                SkylineAlgorithm algorithm) {
+void RunSkyline(benchmark::State& state, Distribution distribution) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int d = static_cast<int>(state.range(1));
   const Dataset data = MakeData(distribution, n, d);
   size_t skyline_size = 0;
   for (auto _ : state) {
-    std::vector<ObjectId> skyline =
-        ComputeSkyline(data, data.full_mask(), algorithm);
+    std::vector<ObjectId> skyline = ComputeSkyline(data, data.full_mask());
     skyline_size = skyline.size();
     benchmark::DoNotOptimize(skyline);
   }
@@ -39,52 +36,19 @@ void RunSkyline(benchmark::State& state, Distribution distribution,
                           static_cast<int64_t>(n));
 }
 
-#define SKYCUBE_BENCH(dist_name, dist, algo_name, algo)             \
-  void BM_##dist_name##_##algo_name(benchmark::State& state) {      \
-    RunSkyline(state, dist, algo);                                  \
-  }                                                                 \
-  BENCHMARK(BM_##dist_name##_##algo_name)                           \
-      ->Args({10000, 4})                                            \
-      ->Args({50000, 4})                                            \
-      ->Args({10000, 8})                                            \
+#define SKYCUBE_BENCH(dist_name, dist)                 \
+  void BM_##dist_name##_Sfs(benchmark::State& state) { \
+    RunSkyline(state, dist);                           \
+  }                                                    \
+  BENCHMARK(BM_##dist_name##_Sfs)                      \
+      ->Args({10000, 4})                               \
+      ->Args({50000, 4})                               \
+      ->Args({10000, 8})                               \
       ->Unit(benchmark::kMillisecond)
 
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Bnl,
-              SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Sfs,
-              SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Dnc,
-              SkylineAlgorithm::kDivideAndConquer);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Less,
-              SkylineAlgorithm::kLess);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Index,
-              SkylineAlgorithm::kIndex);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Bitmap,
-              SkylineAlgorithm::kBitmap);
-SKYCUBE_BENCH(Correlated, Distribution::kCorrelated, Bbs,
-              SkylineAlgorithm::kBbs);
-SKYCUBE_BENCH(Independent, Distribution::kIndependent, Bnl,
-              SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH(Independent, Distribution::kIndependent, Sfs,
-              SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH(Independent, Distribution::kIndependent, Dnc,
-              SkylineAlgorithm::kDivideAndConquer);
-SKYCUBE_BENCH(Independent, Distribution::kIndependent, Less,
-              SkylineAlgorithm::kLess);
-SKYCUBE_BENCH(Independent, Distribution::kIndependent, Index,
-              SkylineAlgorithm::kIndex);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Bnl,
-              SkylineAlgorithm::kBlockNestedLoops);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Sfs,
-              SkylineAlgorithm::kSortFilterSkyline);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Dnc,
-              SkylineAlgorithm::kDivideAndConquer);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Less,
-              SkylineAlgorithm::kLess);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Index,
-              SkylineAlgorithm::kIndex);
-SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated, Bbs,
-              SkylineAlgorithm::kBbs);
+SKYCUBE_BENCH(Correlated, Distribution::kCorrelated);
+SKYCUBE_BENCH(Independent, Distribution::kIndependent);
+SKYCUBE_BENCH(AntiCorrelated, Distribution::kAntiCorrelated);
 
 }  // namespace
 }  // namespace skycube

@@ -55,10 +55,11 @@ struct SkycubeStats {
 
 /// Streams the skyline of every non-empty subspace of `data`, top-down
 /// (full space first, then all (d−1)-subspaces, ...), each computed with
-/// SFS (ComputeSkylineAmong's default). `visit` receives the subspace mask
-/// and its ascending skyline ids, always in the sequential traversal order
-/// even when `options.num_threads` fans the level out. Memory holds at most
-/// two lattice levels of skylines at a time.
+/// SFS (ComputeSkyline, or ComputeSkylineAmong over the parent's
+/// candidates). `visit` receives the subspace mask and its ascending
+/// skyline ids, always in the sequential traversal order even when
+/// `options.num_threads` fans the level out. Memory holds at most two
+/// lattice levels of skylines at a time.
 void ForEachSubspaceSkyline(
     const Dataset& data, const SkycubeOptions& options,
     const std::function<void(DimMask, const std::vector<ObjectId>&)>& visit,

@@ -1,5 +1,6 @@
 // Dominance kernels: pairwise comparison of objects within a subspace.
-// These are the innermost loops of every algorithm in the library.
+// These are the innermost loops of SFS (skyline/sfs.cc), the brute-force
+// oracle (core/reference.h), incremental maintenance and the skyband.
 #ifndef SKYCUBE_SKYLINE_DOMINANCE_H_
 #define SKYCUBE_SKYLINE_DOMINANCE_H_
 
@@ -64,17 +65,13 @@ inline bool RowDominatesOrEqual(const double* a, const double* b,
   return true;
 }
 
-/// Object-id convenience wrappers.
-inline DomOrder CompareObjects(const Dataset& data, ObjectId a, ObjectId b,
-                               DimMask subspace) {
-  return CompareRows(data.Row(a), data.Row(b), subspace);
-}
+/// Object-id convenience wrapper of RowDominates.
 inline bool Dominates(const Dataset& data, ObjectId a, ObjectId b,
                       DimMask subspace) {
   return RowDominates(data.Row(a), data.Row(b), subspace);
 }
 
-/// Monotone scoring function for SFS/LESS presorting: the sum of the
+/// Monotone scoring function for SFS's presort: the sum of the
 /// projection's coordinates. If u dominates v in `subspace` then
 /// SortScore(u) <= SortScore(v). The exact sums differ strictly, but
 /// rounding, or overflow to infinity, can make the computed ones equal, so

@@ -2,17 +2,29 @@
 // Objects are presorted by a monotone score (here the coordinate sum over
 // the subspace); after the sort no object can dominate one with a smaller
 // score, so a single pass with a window that evicts only among equal
-// scores suffices — unlike BNL, which may evict anywhere in its window.
+// scores suffices.
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
+#include "common/macros.h"
 #include "skyline/algorithms.h"
 #include "skyline/dominance.h"
 
 namespace skycube {
 
-std::vector<ObjectId> SkylineSfs(const Dataset& data, DimMask subspace,
-                                 const std::vector<ObjectId>& candidates) {
+std::vector<ObjectId> ComputeSkyline(const Dataset& data, DimMask subspace) {
+  std::vector<ObjectId> all(data.num_objects());
+  std::iota(all.begin(), all.end(), 0);
+  return ComputeSkylineAmong(data, subspace, all);
+}
+
+std::vector<ObjectId> ComputeSkylineAmong(
+    const Dataset& data, DimMask subspace,
+    const std::vector<ObjectId>& candidates) {
+  SKYCUBE_CHECK_MSG(subspace != 0, "subspace must be non-empty");
+  SKYCUBE_CHECK_MSG(IsSubsetOf(subspace, data.full_mask()),
+                    "subspace outside the dataset's dimension space");
   struct Scored {
     double score;
     ObjectId id;
@@ -30,7 +42,8 @@ std::vector<ObjectId> SkylineSfs(const Dataset& data, DimMask subspace,
   // skyline[ties..] are the kept objects whose score equals the current
   // one. Rounding can give a dominator the same score as an object it
   // dominates and sort it later (SortScore), so within equal scores the
-  // window compares both ways and evicts, as BNL does.
+  // window compares both ways and evicts the kept objects a newcomer
+  // dominates.
   std::vector<ObjectId> skyline;
   size_t ties = 0;
   double tie_score = 0;

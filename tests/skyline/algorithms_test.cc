@@ -1,14 +1,16 @@
-// Unit and property tests for the single-space skyline algorithms.
-// BNL, SFS, D&C, LESS, Index, BBS and Bitmap must all agree with the
-// quadratic reference on every distribution, subspace, and tie profile.
+// Unit and property tests for the library's skyline (SFS). It must agree
+// with the quadratic reference on every distribution, subspace, tie profile
+// and candidate subset.
 #include <algorithm>
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/reference.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
@@ -33,30 +35,19 @@ Dataset TicketData() {
 
 TEST(SkylineAlgorithmsTest, FlightExampleAllAlgorithms) {
   const Dataset data = TicketData();
-  const std::vector<ObjectId> expected = {0, 1, 2, 4};
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_EQ(ComputeSkyline(data, data.full_mask(), algorithm), expected)
-        << SkylineAlgorithmName(algorithm);
-  }
+  EXPECT_EQ(ComputeSkyline(data, data.full_mask()),
+            (std::vector<ObjectId>{0, 1, 2, 4}));
 }
 
 TEST(SkylineAlgorithmsTest, SingleDimensionKeepsAllMinima) {
   const Dataset data = Dataset::FromRows({{3}, {1}, {2}, {1}, {1}}).value();
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_EQ(ComputeSkyline(data, 0b1, algorithm),
-              (std::vector<ObjectId>{1, 3, 4}))
-        << SkylineAlgorithmName(algorithm);
-  }
+  EXPECT_EQ(ComputeSkyline(data, 0b1), (std::vector<ObjectId>{1, 3, 4}));
 }
 
 TEST(SkylineAlgorithmsTest, AllObjectsIdentical) {
   const Dataset data =
       Dataset::FromRows({{1, 2}, {1, 2}, {1, 2}}).value();
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_EQ(ComputeSkyline(data, 0b11, algorithm),
-              (std::vector<ObjectId>{0, 1, 2}))
-        << SkylineAlgorithmName(algorithm);
-  }
+  EXPECT_EQ(ComputeSkyline(data, 0b11), (std::vector<ObjectId>{0, 1, 2}));
 }
 
 // Pairs whose coordinate sums round (or overflow) to the same double: row 1
@@ -73,11 +64,8 @@ TEST(SkylineAlgorithmsTest, RoundedScoreTiesKeepOnlyTheDominator) {
   for (const Dataset& data : RoundingTiePairs()) {
     ASSERT_EQ(SortScore(data.Row(0), 0b11), SortScore(data.Row(1), 0b11));
     ASSERT_EQ(ReferenceSkyline(data, 0b11), (std::vector<ObjectId>{1}));
-    for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-      EXPECT_EQ(ComputeSkyline(data, 0b11, algorithm),
-                ReferenceSkyline(data, 0b11))
-          << SkylineAlgorithmName(algorithm) << " " << data.Value(0, 0);
-    }
+    EXPECT_EQ(ComputeSkyline(data, 0b11), ReferenceSkyline(data, 0b11))
+        << data.Value(0, 0);
   }
 }
 
@@ -86,20 +74,13 @@ TEST(SkylineAlgorithmsTest, CandidateRestrictionComputesSubsetSkyline) {
   // Restricted to {1, 3, 5}: 3 and 5 are no longer dominated by excluded
   // objects... 3 is undominated among the three; 5 too; 1 undominated.
   const std::vector<ObjectId> candidates = {1, 3, 5};
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_EQ(
-        ComputeSkylineAmong(data, data.full_mask(), candidates, algorithm),
-        (std::vector<ObjectId>{1, 3, 5}))
-        << SkylineAlgorithmName(algorithm);
-  }
+  EXPECT_EQ(ComputeSkylineAmong(data, data.full_mask(), candidates),
+            (std::vector<ObjectId>{1, 3, 5}));
 }
 
 TEST(SkylineAlgorithmsTest, EmptyCandidateSet) {
   const Dataset data = TicketData();
-  for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-    EXPECT_TRUE(
-        ComputeSkylineAmong(data, data.full_mask(), {}, algorithm).empty());
-  }
+  EXPECT_TRUE(ComputeSkylineAmong(data, data.full_mask(), {}).empty());
 }
 
 TEST(DominanceTest, CompareRowsAllOutcomes) {
@@ -140,30 +121,40 @@ TEST(DominanceTest, SortScoreIsMonotone) {
   }
 }
 
-TEST(BbsTest, TreeEdgeCases) {
-  // Fewer points than one leaf; exactly one leaf; many identical points
-  // (degenerate MBRs); deep trees from thousands of points.
-  {
-    const Dataset tiny = Dataset::FromRows({{2, 1}, {1, 2}}).value();
-    EXPECT_EQ(ComputeSkyline(tiny, 0b11, SkylineAlgorithm::kBbs),
-              (std::vector<ObjectId>{0, 1}));
+// A seeded random half of `data`'s ids, in shuffled (unsorted) order.
+std::vector<ObjectId> RandomHalf(const Dataset& data, Rng& rng) {
+  std::vector<ObjectId> ids(data.num_objects());
+  std::iota(ids.begin(), ids.end(), 0);
+  const size_t half = ids.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    std::swap(ids[i], ids[i + rng.NextBounded(ids.size() - i)]);
   }
-  {
-    std::vector<std::vector<double>> rows(100, {3.0, 3.0, 3.0});
-    const Dataset dup = Dataset::FromRows(std::move(rows)).value();
-    EXPECT_EQ(ComputeSkyline(dup, 0b111, SkylineAlgorithm::kBbs).size(),
-              100u);
-  }
-  {
-    const Dataset big = GenerateAntiCorrelated(20000, 4, 77);
-    EXPECT_EQ(ComputeSkyline(big, 0b1111, SkylineAlgorithm::kBbs),
-              ComputeSkyline(big, 0b1111,
-                             SkylineAlgorithm::kSortFilterSkyline));
-  }
+  ids.resize(half);
+  return ids;
 }
 
-// Property sweep: all algorithms equal the quadratic reference on every
-// subspace of randomized datasets.
+// ReferenceSkyline over a Dataset holding only `candidates`' rows, with its
+// ids mapped back to `data`'s and sorted.
+std::vector<ObjectId> ReferenceSkylineAmong(
+    const Dataset& data, DimMask subspace,
+    const std::vector<ObjectId>& candidates) {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(candidates.size());
+  for (ObjectId id : candidates) {
+    rows.emplace_back(data.Row(id), data.Row(id) + data.num_dims());
+  }
+  const Dataset subset = Dataset::FromRows(std::move(rows)).value();
+  std::vector<ObjectId> skyline;
+  for (ObjectId local : ReferenceSkyline(subset, subspace)) {
+    skyline.push_back(candidates[local]);
+  }
+  std::sort(skyline.begin(), skyline.end());
+  return skyline;
+}
+
+// Property sweep: SFS equals the quadratic reference on every subspace of
+// randomized datasets, over all objects and over a random half of them (the
+// skycube traversal runs it on a parent skyline plus its ties).
 using AlgoConfig = std::tuple<Distribution, int, uint64_t>;
 
 class SkylineAlgorithmsPropertyTest
@@ -177,13 +168,14 @@ TEST_P(SkylineAlgorithmsPropertyTest, AgreesWithReferenceOnAllSubspaces) {
   spec.num_objects = 300;
   spec.truncate_decimals = 2;  // plenty of ties
   const Dataset data = GenerateSynthetic(spec);
+  Rng rng(spec.seed);
   ForEachNonEmptySubset(data.full_mask(), [&](DimMask subspace) {
-    const std::vector<ObjectId> expected = ReferenceSkyline(data, subspace);
-    for (SkylineAlgorithm algorithm : kAllSkylineAlgorithmsWithBitmap) {
-      ASSERT_EQ(ComputeSkyline(data, subspace, algorithm), expected)
-          << SkylineAlgorithmName(algorithm) << " on subspace "
-          << FormatMask(subspace);
-    }
+    ASSERT_EQ(ComputeSkyline(data, subspace), ReferenceSkyline(data, subspace))
+        << "subspace " << FormatMask(subspace);
+    const std::vector<ObjectId> half = RandomHalf(data, rng);
+    ASSERT_EQ(ComputeSkylineAmong(data, subspace, half),
+              ReferenceSkylineAmong(data, subspace, half))
+        << "random half, subspace " << FormatMask(subspace);
   });
 }
 

@@ -108,7 +108,8 @@ bool ParseEndpoints(const std::string& spec,
     while (member_start <= entry.size()) {
       size_t plus = entry.find('+', member_start);
       if (plus == std::string::npos) plus = entry.size();
-      const std::string member = entry.substr(member_start, plus - member_start);
+      const std::string member =
+          entry.substr(member_start, plus - member_start);
       member_start = plus + 1;
       if (member.empty()) continue;
       router::ShardEndpoint endpoint;

@@ -480,8 +480,8 @@ std::string HandleDelete(ServeSession& session, const std::string& args) {
   if (id < 0) return "err usage: delete ID";
   // Like inserts: through the service, which serializes mutations, applies
   // via the attached handler, and swaps the snapshot when anything changed.
-  return FormatResponseLine(
-      session.service->Execute(QueryRequest::Delete(static_cast<ObjectId>(id))));
+  return FormatResponseLine(session.service->Execute(
+      QueryRequest::Delete(static_cast<ObjectId>(id))));
 }
 
 std::string HandleExpire(ServeSession& session, const std::string& args) {
