@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -51,9 +52,11 @@ int64_t FlagParser::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
+  errno = 0;
   const int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  SKYCUBE_CHECK_MSG(end != it->second.c_str() && *end == '\0',
-                    ("flag --" + name + " expects an integer").c_str());
+  SKYCUBE_CHECK_MSG(
+      end != it->second.c_str() && *end == '\0' && errno != ERANGE,
+      ("flag --" + name + " expects an integer").c_str());
   return value;
 }
 

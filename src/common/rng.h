@@ -73,9 +73,6 @@ class Rng {
     return radius * std::cos(2.0 * 3.14159265358979323846 * u2);
   }
 
-  /// True with probability p.
-  bool NextBernoulli(double p) { return NextDouble() < p; }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -8,12 +8,6 @@
 
 namespace skycube {
 
-namespace {
-
-thread_local bool t_on_worker_thread = false;
-
-}  // namespace
-
 ThreadPool::ThreadPool(Options options) : options_(options) {
   int threads = options_.num_threads;
   if (threads <= 0) {
@@ -91,17 +85,7 @@ ThreadPoolStats ThreadPool::stats() const {
   return stats_;
 }
 
-bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
-
-ThreadPool& ThreadPool::Shared() {
-  // Function-local static: created on first use, destroyed after main — the
-  // destructor drains, so queued ParallelChunks work cannot be dropped.
-  static ThreadPool pool(Options{});
-  return pool;
-}
-
 void ThreadPool::WorkerLoop() {
-  t_on_worker_thread = true;
   for (;;) {
     std::function<void()> task;
     {

@@ -1,16 +1,17 @@
 // A fixed-size worker pool over a bounded MPMC task queue — the execution
-// substrate for the query service and for ParallelChunks (common/parallel.h).
+// substrate for the query service's batch fan-out (SkycubeService) and the
+// network server's dispatch (NetServer).
 //
 // Design constraints, in order:
 //  - workers are created once and reused: the serving path must not pay a
-//    thread spawn per request (the old ParallelChunks spawned per call);
+//    thread spawn per request;
 //  - the queue is bounded: a producer that outruns the workers blocks in
 //    Submit() instead of growing an unbounded backlog (use TrySubmit for
 //    best-effort helpers that would rather run the work themselves);
 //  - tasks must never block waiting for *other pool tasks* to be scheduled —
-//    that is the classic fixed-pool deadlock. ParallelChunks obeys this by
-//    having the caller claim chunks too, and by running nested calls inline
-//    (see OnWorkerThread()).
+//    that is the classic fixed-pool deadlock. SkycubeService::ExecuteBatch
+//    obeys this by having the caller claim requests too, so a batch
+//    completes even when no helper task was queued.
 #ifndef SKYCUBE_COMMON_THREAD_POOL_H_
 #define SKYCUBE_COMMON_THREAD_POOL_H_
 
@@ -71,15 +72,6 @@ class ThreadPool {
   size_t QueueDepth() const EXCLUDES(mu_);
 
   ThreadPoolStats stats() const EXCLUDES(mu_);
-
-  /// True iff the calling thread is a worker of *any* ThreadPool. Used by
-  /// ParallelChunks to run nested parallel regions inline instead of
-  /// deadlocking a saturated pool.
-  static bool OnWorkerThread();
-
-  /// Process-wide pool (hardware-sized, created on first use, never
-  /// destroyed before exit). ParallelChunks schedules through this.
-  static ThreadPool& Shared();
 
  private:
   void WorkerLoop() EXCLUDES(mu_);

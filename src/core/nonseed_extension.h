@@ -43,12 +43,11 @@ struct NonSeedExtensionStats {
 /// F(S) of `data`) to the complete SkylineGroupSet over all objects of
 /// `data`. Object ids in the result refer to `data` rows; projections are
 /// filled in. Non-seed lookup uses a per-dimension value index, built once.
-/// Per-seed-group work is parallelized over `num_threads` (0 = hardware
-/// threads); output is deterministic regardless of thread count.
+/// Groups come out in seed-group order.
 SkylineGroupSet ExtendWithNonSeeds(
     const Dataset& data, const std::vector<ObjectId>& seeds,
     const std::vector<SeedSkylineGroup>& seed_groups,
-    NonSeedExtensionStats* stats = nullptr, int num_threads = 1);
+    NonSeedExtensionStats* stats = nullptr);
 
 }  // namespace skycube
 

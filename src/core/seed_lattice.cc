@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/cgroup_miner.h"
 #include "core/transversals.h"
 
@@ -52,62 +51,48 @@ std::vector<DimMask> DecisiveFromEdges(std::vector<DimMask> edges, DimMask b) {
 }
 
 std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(const SeedRows& rows,
-                                                     SeedLatticeStats* stats,
-                                                     int num_threads) {
+                                                     SeedLatticeStats* stats) {
   const size_t n = rows.size();
-  // Contiguous root ranges per chunk, concatenated in chunk order: the
-  // groups come out in root order whatever the thread count.
-  const int threads = EffectiveThreads(num_threads, n);
-  std::vector<std::vector<SeedSkylineGroup>> chunk_groups(threads);
-  std::vector<uint64_t> chunk_cgroups(threads, 0);
-  ParallelChunks(n, threads, [&](int chunk, size_t begin, size_t end) {
-    std::vector<DimMask> co;
-    std::vector<DimMask> dom;
-    std::vector<char> in_group(n, 0);
-    std::vector<MaximalCGroup> cgroups;
-    std::vector<DimMask> edges;
-    for (size_t root = begin; root < end; ++root) {
-      rows.Fill(static_cast<uint32_t>(root), &co, &dom);
-      cgroups.clear();
-      MineBranch(static_cast<uint32_t>(root), co, rows.universe(), &cgroups);
-      chunk_cgroups[chunk] += cgroups.size();
-      for (MaximalCGroup& cgroup : cgroups) {
-        // Corollary 1 on the root's dominance row: the root is a member
-        // (its smallest), and any member can stand for the group because
-        // members coincide on B.
-        for (uint32_t member : cgroup.member_indices) in_group[member] = 1;
-        edges.clear();
-        bool dead = false;
-        for (uint32_t w = 0; w < n; ++w) {
-          if (in_group[w]) continue;
-          const DimMask edge = dom[w] & cgroup.subspace;
-          if (edge == 0) {
-            // Seed w dominates-or-ties the group's projection in B: G_B is
-            // not in the skyline of B, so (G, B) is not a skyline group.
-            dead = true;
-            break;
-          }
-          edges.push_back(edge);
-        }
-        for (uint32_t member : cgroup.member_indices) in_group[member] = 0;
-        if (dead) continue;
-        SeedSkylineGroup group;
-        group.seed_indices = std::move(cgroup.member_indices);
-        group.max_subspace = cgroup.subspace;
-        group.reduced_edges = ReduceEdges(edges);
-        // reduced_edges is non-empty unless the group faces no other seed;
-        // in both cases DecisiveFromEdges yields a non-empty decisive list.
-        group.decisive =
-            DecisiveFromEdges(group.reduced_edges, group.max_subspace);
-        chunk_groups[chunk].push_back(std::move(group));
-      }
-    }
-  });
   std::vector<SeedSkylineGroup> groups;
   uint64_t num_cgroups = 0;
-  for (int chunk = 0; chunk < threads; ++chunk) {
-    num_cgroups += chunk_cgroups[chunk];
-    for (SeedSkylineGroup& group : chunk_groups[chunk]) {
+  std::vector<DimMask> co;
+  std::vector<DimMask> dom;
+  std::vector<char> in_group(n, 0);
+  std::vector<MaximalCGroup> cgroups;
+  std::vector<DimMask> edges;
+  for (size_t root = 0; root < n; ++root) {
+    rows.Fill(static_cast<uint32_t>(root), &co, &dom);
+    cgroups.clear();
+    MineBranch(static_cast<uint32_t>(root), co, rows.universe(), &cgroups);
+    num_cgroups += cgroups.size();
+    for (MaximalCGroup& cgroup : cgroups) {
+      // Corollary 1 on the root's dominance row: the root is a member (its
+      // smallest), and any member can stand for the group because members
+      // coincide on B.
+      for (uint32_t member : cgroup.member_indices) in_group[member] = 1;
+      edges.clear();
+      bool dead = false;
+      for (uint32_t w = 0; w < n; ++w) {
+        if (in_group[w]) continue;
+        const DimMask edge = dom[w] & cgroup.subspace;
+        if (edge == 0) {
+          // Seed w dominates-or-ties the group's projection in B: G_B is
+          // not in the skyline of B, so (G, B) is not a skyline group.
+          dead = true;
+          break;
+        }
+        edges.push_back(edge);
+      }
+      for (uint32_t member : cgroup.member_indices) in_group[member] = 0;
+      if (dead) continue;
+      SeedSkylineGroup group;
+      group.seed_indices = std::move(cgroup.member_indices);
+      group.max_subspace = cgroup.subspace;
+      group.reduced_edges = ReduceEdges(edges);
+      // reduced_edges is non-empty unless the group faces no other seed; in
+      // both cases DecisiveFromEdges yields a non-empty decisive list.
+      group.decisive =
+          DecisiveFromEdges(group.reduced_edges, group.max_subspace);
       groups.push_back(std::move(group));
     }
   }

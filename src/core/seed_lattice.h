@@ -71,12 +71,9 @@ struct SeedLatticeStats {
 /// emitted group's decisive subspaces from the dominance row via minimal
 /// transversals (Corollary 1), and drops maximal c-groups with no non-empty
 /// decisive subspace — those are not skyline groups (paper's Algorithm
-/// Stellar, step 4). Roots are split over `num_threads` (0 = all hardware
-/// threads); groups come out in root order, identical for every thread
-/// count.
+/// Stellar, step 4). Groups come out in root order.
 std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(
-    const SeedRows& rows, SeedLatticeStats* stats = nullptr,
-    int num_threads = 1);
+    const SeedRows& rows, SeedLatticeStats* stats = nullptr);
 
 /// Decisive subspaces for one group given its dominance edges within `b`:
 /// minimal transversals, with the empty-transversal convention mapped to

@@ -43,7 +43,6 @@ SkylineGroupSet ComputeSkyey(const Dataset& data, const SkyeyOptions& options,
       qualifying;
   SkycubeOptions cube_options;
   cube_options.share_parent_candidates = options.share_parent_candidates;
-  cube_options.num_threads = options.num_threads;
   SkycubeStats cube_stats;
   ForEachSubspaceSkyline(
       data, cube_options,

@@ -1,12 +1,12 @@
 // Algorithm Skyey — the baseline from [10] (Pei et al., VLDB'05) that the
 // paper compares Stellar against. Skyey assembles a data-cube traversal
 // with a sorting-based skyline algorithm (SFS, the kernel Stellar's step 1
-// also runs): it searches *every* non-empty
-// subspace for its skyline (sharing sorted candidate lists between parent
-// and child subspaces), groups the per-subspace skyline objects by their
-// shared projections, and merges the per-subspace findings into skyline
-// groups and decisive subspaces. Cost grows with the 2^d − 1 subspaces —
-// the behaviour the paper's Figures 8/11/12 measure.
+// also runs): it searches *every* non-empty subspace for its skyline,
+// sequentially and level by level (sharing sorted candidate lists between
+// parent and child subspaces), groups the per-subspace skyline objects by
+// their shared projections, and merges the per-subspace findings into
+// skyline groups and decisive subspaces. Cost grows with the 2^d − 1
+// subspaces — the behaviour the paper's Figures 8/11/12 measure.
 //
 // Assembly: in subspace B, each distinct skyline projection value v defines
 // the complete tie class G = {o : o_B = v} (every such o is itself a
@@ -30,10 +30,6 @@ struct SkyeyOptions {
   /// paper's "sorted lists of objects are shared as much as possible".
   /// Disabling recomputes each subspace from scratch (ablation).
   bool share_parent_candidates = true;
-  /// Worker threads for the per-level subspace fan-out (passed through to
-  /// the skycube traversal). 1 = sequential (default); 0 = all hardware
-  /// threads. Results are identical regardless of the value.
-  int num_threads = 1;
 };
 
 /// Counters of one Skyey run.

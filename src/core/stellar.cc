@@ -11,7 +11,7 @@
 namespace skycube {
 
 SkylineGroupSet ComputeStellar(const Dataset& data,
-                               const StellarOptions& options,
+                               const StellarOptions& /*options*/,
                                StellarStats* stats) {
   StellarStats local_stats;
   local_stats.num_objects = data.num_objects();
@@ -39,15 +39,14 @@ SkylineGroupSet ComputeStellar(const Dataset& data,
   phase_timer.Reset();
   SeedLatticeStats lattice_stats;
   const std::vector<SeedSkylineGroup> seed_groups =
-      BuildSeedSkylineGroups(rows, &lattice_stats, options.num_threads);
+      BuildSeedSkylineGroups(rows, &lattice_stats);
   local_stats.num_maximal_cgroups = lattice_stats.num_maximal_cgroups;
   local_stats.num_seed_skyline_groups = lattice_stats.num_seed_skyline_groups;
   local_stats.seconds_seed_groups = phase_timer.ElapsedSeconds();
 
   // Step 5: accommodate non-seed objects.
   phase_timer.Reset();
-  SkylineGroupSet groups = ExtendWithNonSeeds(working, seeds, seed_groups,
-                                              nullptr, options.num_threads);
+  SkylineGroupSet groups = ExtendWithNonSeeds(working, seeds, seed_groups);
   local_stats.seconds_nonseed = phase_timer.ElapsedSeconds();
 
   // Remap distinct-row member ids back to original object ids.

@@ -20,14 +20,10 @@
 
 namespace skycube {
 
-/// Tuning knobs for Stellar.
-struct StellarOptions {
-  /// Worker threads for the embarrassingly parallel phases (the per-root
-  /// seed-lattice pass and the non-seed extension). 1 = sequential
-  /// (default, matches the paper's setting); 0 = all hardware threads.
-  /// Results are identical regardless of the value.
-  int num_threads = 1;
-};
+/// Stellar has no tuning knobs: it runs sequentially, as in the paper's
+/// setting. The empty struct keeps ComputeStellar's signature, which
+/// callers spell with an `{}` or `StellarOptions{}` argument.
+struct StellarOptions {};
 
 /// Phase timings and counters of one Stellar run. The library has one
 /// dominance path, on the dataset's doubles (skyline/dominance.h), and

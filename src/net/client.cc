@@ -15,6 +15,9 @@
 namespace skycube::net {
 namespace {
 
+/// Ceiling on accepted response payloads (FrameDecoder limit).
+constexpr size_t kMaxResponsePayload = kDefaultMaxPayload;
+
 /// poll(2) timeout for a deadline: -1 = wait forever, else whole
 /// milliseconds rounded up so a 0.5ms budget still polls once.
 int PollMillis(Deadline deadline) {
@@ -49,10 +52,9 @@ NetClient& NetClient::operator=(NetClient&& other) noexcept {
   return *this;
 }
 
-Status NetClient::Connect(const std::string& host, uint16_t port,
-                          NetClientOptions options) {
+Status NetClient::Connect(const std::string& host, uint16_t port) {
   Close();
-  decoder_ = FrameDecoder(options.max_payload);
+  decoder_ = FrameDecoder(kMaxResponsePayload);
   pending_.clear();
   pending_ready_ = false;
 

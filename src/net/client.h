@@ -29,11 +29,6 @@
 
 namespace skycube::net {
 
-struct NetClientOptions {
-  /// Ceiling on accepted response payloads (FrameDecoder limit).
-  size_t max_payload = kDefaultMaxPayload;
-};
-
 class NetClient {
  public:
   NetClient() = default;
@@ -46,8 +41,7 @@ class NetClient {
 
   /// Connects to host:port (host: IPv4 literal, e.g. "127.0.0.1").
   /// Replaces any previous connection and resets the frame decoder.
-  Status Connect(const std::string& host, uint16_t port,
-                 NetClientOptions options = {});
+  Status Connect(const std::string& host, uint16_t port);
 
   bool connected() const { return fd_ >= 0; }
   int fd() const { return fd_; }

@@ -66,8 +66,6 @@ void EventLoop::Remove(int fd) {
 }
 
 void EventLoop::Run(const std::function<void()>& on_tick, int tick_millis) {
-  loop_thread_ = std::this_thread::get_id();
-  running_.store(true, std::memory_order_release);
   constexpr int kMaxEvents = 256;
   struct epoll_event events[kMaxEvents];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -98,7 +96,6 @@ void EventLoop::Run(const std::function<void()>& on_tick, int tick_millis) {
     if (on_tick) on_tick();
   }
   DrainPosted();  // tasks posted alongside Stop() still run
-  running_.store(false, std::memory_order_release);
   stop_.store(false, std::memory_order_release);  // allow a future Run()
 }
 

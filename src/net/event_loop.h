@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -69,12 +68,6 @@ class EventLoop {
   /// posted after Stop() still run before Run() returns.
   void Post(std::function<void()> task) EXCLUDES(mu_);
 
-  /// True iff called from inside Run() on the loop thread.
-  bool OnLoopThread() const {
-    return running_.load(std::memory_order_acquire) &&
-           std::this_thread::get_id() == loop_thread_;
-  }
-
  private:
   void Wake();
   /// Swaps out and runs every posted task.
@@ -82,9 +75,7 @@ class EventLoop {
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
-  std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
-  std::thread::id loop_thread_;
 
   /// Registered callbacks; loop-thread-only (plus pre-Run setup).
   std::unordered_map<int, IoCallback> callbacks_;

@@ -148,10 +148,8 @@ class RouterTopology {
   ObjectId total_rows() const { return rows_.size(); }
   const RowStore& rows() const { return rows_; }
 
-  size_t ShardSize(size_t shard) const { return shard_ids_[shard]->size(); }
-
-  /// Global id of `shard`'s local row `local`; local must be below a
-  /// ShardSize(shard) this thread observed.
+  /// Global id of `shard`'s local row `local`; the row must already be in
+  /// the shard's id list as this thread observed it (see WaitForLocal).
   ObjectId GlobalId(size_t shard, ObjectId local) const {
     return shard_ids_[shard]->At(local);
   }

@@ -5,7 +5,7 @@
 // long outage then costs one doomed connect per interval per backend, and
 // a fleet of routers probes in lock-step. This class replaces the fixed
 // interval with jittered exponential backoff using the exact policy of
-// CubeRebuilderOptions (service/cube_rebuilder.h): delays start at
+// CubeRebuilder (service/cube_rebuilder.h): delays start at
 // `initial_millis`, grow by `multiplier` up to `max_millis`, each sleep is
 // scaled by U[1 - jitter, 1 + jitter] to decorrelate probe storms, and a
 // single success fully resets the schedule.
@@ -25,7 +25,8 @@
 
 namespace skycube::router {
 
-/// Mirrors the retry knobs of CubeRebuilderOptions.
+/// Jittered exponential backoff between probes of a down shard, the same
+/// schedule shape as CubeRebuilder's retries.
 struct ProbeBackoffOptions {
   int64_t initial_millis = 100;
   int64_t max_millis = 30000;

@@ -204,10 +204,7 @@ std::unique_ptr<net::NetClient> RemoteShardBackend::AcquireConnection(
     }
   }
   auto client = std::make_unique<net::NetClient>();
-  net::NetClientOptions net_options;
-  net_options.max_payload = options_.max_payload;
-  const Status status =
-      client->Connect(options_.host, options_.port, net_options);
+  const Status status = client->Connect(options_.host, options_.port);
   if (!status.ok()) {
     if (error != nullptr) *error = status.message();
     return nullptr;

@@ -54,8 +54,6 @@ struct RemoteShardOptions {
   /// exponential backoff; a success resets it).
   int down_after_failures = 3;
   ProbeBackoffOptions probe;
-  /// Response payload ceiling (per connection FrameDecoder).
-  size_t max_payload = net::kDefaultMaxPayload;
 };
 
 /// Point-in-time counters (plain data, copyable).

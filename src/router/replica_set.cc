@@ -8,6 +8,16 @@
 
 namespace skycube::router {
 
+namespace {
+
+/// Cached kReplState results older than this are re-probed before a
+/// failover decision or a Members() report.
+constexpr int64_t kStateTtlMillis = 500;
+/// Per-call read timeout of control-plane requests.
+constexpr int64_t kControlTimeoutMillis = 2000;
+
+}  // namespace
+
 ReplicaSetBackend::ReplicaSetBackend(const ShardEndpointSet& endpoints,
                                      ReplicaSetOptions options)
     : options_(std::move(options)) {
@@ -40,8 +50,7 @@ Result<net::WireResponse> ReplicaSetBackend::ControlCall(
   net::WireResponse response;
   std::string error;
   const auto got = client.ReadResponse(
-      &response, Deadline::AfterMillis(options_.control_timeout_millis),
-      &error);
+      &response, Deadline::AfterMillis(kControlTimeoutMillis), &error);
   if (got != net::NetClient::Got::kFrame) {
     return Status::Unavailable("member stream failed: " +
                                (error.empty() ? "connection lost" : error));
@@ -56,8 +65,7 @@ void ReplicaSetBackend::RefreshStatesLocked() {
   const Clock::time_point now = Clock::now();
   for (auto& member : members_) {
     if (member->state_at != Clock::time_point::min() &&
-        now - member->state_at <
-            std::chrono::milliseconds(options_.state_ttl_millis)) {
+        now - member->state_at < std::chrono::milliseconds(kStateTtlMillis)) {
       continue;
     }
     net::WireRequest request;

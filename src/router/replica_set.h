@@ -26,8 +26,8 @@
 //
 // Control-plane calls (kReplState, kReplPromote) use a short-lived
 // NetClient per call with their own timeout; they are low-rate (state
-// probes are cached for state_ttl_millis) and never touch the pooled
-// query connections.
+// probes are cached for 500 ms, kStateTtlMillis in the .cc) and never
+// touch the pooled query connections.
 #ifndef SKYCUBE_ROUTER_REPLICA_SET_H_
 #define SKYCUBE_ROUTER_REPLICA_SET_H_
 
@@ -60,11 +60,6 @@ struct ShardEndpointSet {
 struct ReplicaSetOptions {
   /// Template for every member backend (host and port are overridden).
   RemoteShardOptions shard;
-  /// Cached kReplState results older than this are re-probed before a
-  /// failover decision or a Members() report.
-  int64_t state_ttl_millis = 500;
-  /// Per-call read timeout of control-plane requests.
-  int64_t control_timeout_millis = 2000;
   /// Bounded staleness for replica reads while no primary is available: a
   /// replica is read-eligible iff its applied LSN is within this many
   /// records of the most-caught-up member's.

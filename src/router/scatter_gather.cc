@@ -8,6 +8,15 @@
 
 namespace skycube::router {
 
+namespace {
+
+/// Per-wave budget when the request carries no deadline.
+constexpr int64_t kDefaultBudgetMillis = 30000;
+/// Q3 fan-out guard: subspace enumeration is 2^d - 1 requests per shard.
+constexpr int kMaxEnumerationDims = 20;
+
+}  // namespace
+
 ScatterGather::ScatterGather(RouterTopology* topology,
                              std::vector<ShardBackend*> backends,
                              ScatterGatherOptions options)
@@ -25,7 +34,7 @@ void ScatterGather::NoteVersion(uint64_t version) {
 
 Deadline ScatterGather::WaveBudget(const Deadline& request_deadline) const {
   if (request_deadline.infinite()) {
-    return Deadline::AfterMillis(options_.default_budget_millis);
+    return Deadline::AfterMillis(kDefaultBudgetMillis);
   }
   const auto remaining = request_deadline.remaining();
   if (remaining.count() <= 0) return Deadline::ExpiredNow();
@@ -267,7 +276,7 @@ QueryResponse ScatterGather::ExecuteMembership(const QueryRequest& request) {
 QueryResponse ScatterGather::ExecuteEnumeration(
     const QueryRequest& request) {
   const int dims = topology_->num_dims();
-  if (dims > options_.max_enumeration_dims) {
+  if (dims > kMaxEnumerationDims) {
     return ErrorResponse(
         request, StatusCode::kInvalidArgument,
         "skycube enumeration over " + std::to_string(dims) +
@@ -331,8 +340,7 @@ QueryResponse ScatterGather::ExecuteInsert(const QueryRequest& request) {
   const ObjectId gid = topology_->total_rows();
   const size_t owner = topology_->OwnerOf(gid);
   const Deadline budget = request.deadline.infinite()
-                              ? Deadline::AfterMillis(
-                                    options_.default_budget_millis)
+                              ? Deadline::AfterMillis(kDefaultBudgetMillis)
                               : request.deadline;
   std::unique_ptr<ShardCall> call;
   if (!backends_[owner]->down()) {
@@ -393,8 +401,7 @@ QueryResponse ScatterGather::ExecuteDelete(const QueryRequest& request) {
                              " missing from its owner shard's id list");
   }
   const Deadline budget = request.deadline.infinite()
-                              ? Deadline::AfterMillis(
-                                    options_.default_budget_millis)
+                              ? Deadline::AfterMillis(kDefaultBudgetMillis)
                               : request.deadline;
   QueryRequest forward =
       QueryRequest::Delete(static_cast<ObjectId>(local));

@@ -91,10 +91,6 @@ struct ScatterGatherOptions {
   /// Fraction of the request's remaining deadline given to the shard wave
   /// (the rest is merge + translation headroom).
   double budget_fraction = 0.9;
-  /// Per-wave budget when the request carries no deadline.
-  int64_t default_budget_millis = 30000;
-  /// Q3 fan-out guard: subspace enumeration is 2^d - 1 requests per shard.
-  int max_enumeration_dims = 20;
 };
 
 /// Point-in-time counters (plain data, copyable).

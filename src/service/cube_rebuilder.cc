@@ -94,11 +94,18 @@ Status CubeRebuilder::RunJob() {
   }
 }
 
+namespace {
+
+/// Growth factor of successive retry delays, up to max_backoff.
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 std::chrono::milliseconds CubeRebuilder::NextBackoffLocked(
     int consecutive_failures) {
   double backoff = static_cast<double>(options_.initial_backoff.count());
   for (int i = 1; i < consecutive_failures; ++i) {
-    backoff *= options_.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     if (backoff >= static_cast<double>(options_.max_backoff.count())) break;
   }
   backoff =

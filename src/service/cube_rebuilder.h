@@ -37,9 +37,8 @@ namespace skycube {
 struct CubeRebuilderOptions {
   /// Delay before the first retry after a failed build.
   std::chrono::milliseconds initial_backoff{100};
-  /// Retry delays grow by `backoff_multiplier` up to this cap.
+  /// Retry delays double (kBackoffMultiplier in the .cc) up to this cap.
   std::chrono::milliseconds max_backoff{30000};
-  double backoff_multiplier = 2.0;
   /// Uniform jitter applied to each backoff delay: the actual sleep is
   /// backoff * U[1 - jitter, 1 + jitter]. Decorrelates retry storms when
   /// many replicas share a failing dependency.

@@ -532,10 +532,17 @@ std::string SkycubeService::StatsLine() const {
   return FormatStatsLine(*this);
 }
 
+namespace {
+
+/// Bounded work-queue capacity of the batch pool.
+constexpr size_t kBatchQueueCapacity = 1024;
+
+}  // namespace
+
 ThreadPool& SkycubeService::BatchPool() {
   std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<ThreadPool>(ThreadPoolOptions{
-        options_.batch_threads, options_.queue_capacity});
+    pool_ = std::make_unique<ThreadPool>(
+        ThreadPoolOptions{options_.batch_threads, kBatchQueueCapacity});
     pool_ptr_.store(pool_.get(), std::memory_order_release);
   });
   return *pool_;

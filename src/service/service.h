@@ -51,8 +51,6 @@ struct SkycubeServiceOptions {
   /// Worker threads for batch fan-out (0 = hardware concurrency). The pool
   /// is created lazily on the first ExecuteBatch call.
   int batch_threads = 0;
-  /// Bounded work-queue capacity of the batch pool.
-  size_t queue_capacity = 1024;
   /// Admission control: maximum concurrently executing operations (an
   /// Execute call or a whole ExecuteBatch call each hold one slot).
   /// 0 = unlimited (no gate, no in-flight tracking).

@@ -16,6 +16,9 @@ uint64_t SystemNowMs() {
           .count());
 }
 
+/// Retry behavior of a failed pass: the CubeRebuilder defaults.
+constexpr CubeRebuilderOptions kPassRetry{};
+
 }  // namespace
 
 WindowExpiry::WindowExpiry(SkycubeService* service,
@@ -25,7 +28,7 @@ WindowExpiry::WindowExpiry(SkycubeService* service,
       clock_(clock ? std::move(clock) : Clock(SystemNowMs)) {
   SKYCUBE_CHECK_MSG(service_ != nullptr, "WindowExpiry needs a service");
   runner_ = std::make_unique<CubeRebuilder>([this] { return RunPass(); },
-                                            options_.retry);
+                                            kPassRetry);
   if (options_.window_ms > 0 && options_.interval.count() > 0) {
     timer_ = std::thread([this] { TimerLoop(); });
   }

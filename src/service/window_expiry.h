@@ -37,8 +37,6 @@ struct WindowExpiryOptions {
   uint64_t window_ms = 0;
   /// Timer period between automatic passes.
   std::chrono::milliseconds interval{1000};
-  /// Retry behavior of a failed pass.
-  CubeRebuilderOptions retry;
 };
 
 /// Counters of a WindowExpiry (plain data, copyable).

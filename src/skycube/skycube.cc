@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/macros.h"
-#include "common/parallel.h"
 
 namespace skycube {
 
@@ -59,48 +58,33 @@ void ForEachSubspaceSkyline(
   SkycubeStats local_stats;
   std::unordered_map<DimMask, std::vector<ObjectId>> parent_level;
   std::unordered_map<DimMask, std::vector<ObjectId>> current_level;
-  std::vector<DimMask> level_masks;
-  std::vector<std::vector<ObjectId>> level_skylines;
   for (int level = d; level >= 1; --level) {
-    // Enumerate the level's subspaces first (Gosper order = the sequential
-    // visit order), then fan the skyline computations out: each node reads
-    // only the immutable parent level and writes only its own slot, so the
-    // parallel run is deterministic.
-    level_masks.clear();
-    DimMask mask = FullMask(level);  // lowest `level` bits
+    // The level's subspaces in Gosper order; each reads only the parent
+    // level's skylines.
+    DimMask node = FullMask(level);  // lowest `level` bits
     for (;;) {
-      level_masks.push_back(mask);
-      if (mask == (full & ~FullMask(d - level))) break;  // highest k-subset
-      mask = NextSamePopcount(mask);
-      if (mask > full) break;
-    }
-    level_skylines.assign(level_masks.size(), {});
-    ParallelChunks(
-        level_masks.size(), options.num_threads,
-        [&](int, size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            const DimMask node = level_masks[i];
-            if (level == d || !options.share_parent_candidates) {
-              level_skylines[i] = ComputeSkyline(data, node);
-              continue;
-            }
-            // Any parent works; use the one adding the lowest missing dim.
-            const DimMask missing = full & ~node;
-            const DimMask parent = node | DimBit(LowestDim(missing));
-            auto it = parent_level.find(parent);
-            SKYCUBE_CHECK_MSG(it != parent_level.end(),
-                              "parent level missing — traversal bug");
-            level_skylines[i] = ComputeSkylineAmong(
-                data, node, ExpandTies(data, node, it->second));
-          }
-        });
-    for (size_t i = 0; i < level_masks.size(); ++i) {
-      ++local_stats.subspaces_visited;
-      local_stats.total_skyline_objects += level_skylines[i].size();
-      visit(level_masks[i], level_skylines[i]);
-      if (level > 1 && options.share_parent_candidates) {
-        current_level.emplace(level_masks[i], std::move(level_skylines[i]));
+      std::vector<ObjectId> skyline;
+      if (level == d || !options.share_parent_candidates) {
+        skyline = ComputeSkyline(data, node);
+      } else {
+        // Any parent works; use the one adding the lowest missing dim.
+        const DimMask missing = full & ~node;
+        const DimMask parent = node | DimBit(LowestDim(missing));
+        auto it = parent_level.find(parent);
+        SKYCUBE_CHECK_MSG(it != parent_level.end(),
+                          "parent level missing — traversal bug");
+        skyline = ComputeSkylineAmong(data, node,
+                                      ExpandTies(data, node, it->second));
       }
+      ++local_stats.subspaces_visited;
+      local_stats.total_skyline_objects += skyline.size();
+      visit(node, skyline);
+      if (level > 1 && options.share_parent_candidates) {
+        current_level.emplace(node, std::move(skyline));
+      }
+      if (node == (full & ~FullMask(d - level))) break;  // highest k-subset
+      node = NextSamePopcount(node);
+      if (node > full) break;
     }
     parent_level = std::move(current_level);
     current_level.clear();

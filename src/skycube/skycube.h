@@ -37,11 +37,6 @@ struct SkycubeOptions {
   /// candidate set — the "shared sorted lists" device of Skyey. Turning it
   /// off recomputes every subspace from the full object set (ablation).
   bool share_parent_candidates = true;
-  /// Worker threads for the per-level fan-out over lattice nodes: subspaces
-  /// of one level only depend on the level above, so they compute in
-  /// parallel. 1 = sequential (default); 0 = all hardware threads. Visit
-  /// order and results are identical regardless of the value.
-  int num_threads = 1;
 };
 
 /// Statistics of a skycube computation.
@@ -57,9 +52,9 @@ struct SkycubeStats {
 /// (full space first, then all (d−1)-subspaces, ...), each computed with
 /// SFS (ComputeSkyline, or ComputeSkylineAmong over the parent's
 /// candidates). `visit` receives the subspace mask and its ascending
-/// skyline ids, always in the sequential traversal order even when
-/// `options.num_threads` fans the level out. Memory holds at most two
-/// lattice levels of skylines at a time.
+/// skyline ids in traversal order, within a level in ascending Gosper
+/// order of the masks. Memory holds at most two lattice levels of
+/// skylines at a time.
 void ForEachSubspaceSkyline(
     const Dataset& data, const SkycubeOptions& options,
     const std::function<void(DimMask, const std::vector<ObjectId>&)>& visit,

@@ -119,17 +119,30 @@ Result<std::vector<WalRecord>> DecodeShippedRecords(std::string_view bytes) {
 
 // --- WalShipper -----------------------------------------------------------
 
-WalShipper::WalShipper(std::string dir, WalShipperOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+namespace {
+
+/// Batch ceiling when the fetch does not name one.
+constexpr uint32_t kShipperDefaultBatch = 256;
+/// Hard ceiling regardless of what the fetch asks for.
+constexpr uint32_t kShipperMaxBatch = 4096;
+/// Long-poll ceiling: a caught-up fetch blocks at most this long.
+constexpr std::chrono::milliseconds kShipperMaxWait{2000};
+/// A follower whose last fetch is older than this stops counting toward
+/// followers() (and its ack stops holding back WaitAcked reporting).
+constexpr std::chrono::milliseconds kFollowerTtl{10000};
+
+}  // namespace
+
+WalShipper::WalShipper(std::string dir) : dir_(std::move(dir)) {}
 
 Result<ShippedBatch> WalShipper::Fetch(uint64_t ack_lsn,
                                        uint32_t max_records,
                                        std::chrono::milliseconds wait) {
   const uint32_t batch =
-      max_records == 0 ? options_.default_batch
-                       : std::min(max_records, options_.max_batch);
+      max_records == 0 ? kShipperDefaultBatch
+                       : std::min(max_records, kShipperMaxBatch);
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::min(wait, options_.max_wait);
+                        std::min(wait, kShipperMaxWait);
   {
     MutexLock lock(&mu_);
     ++stats_.fetches;
@@ -221,7 +234,7 @@ bool WalShipper::WaitAcked(uint64_t lsn, std::chrono::milliseconds timeout) {
     // rather than stalling every mutation while the replica is down.
     const bool follower_live =
         last_fetch_ != std::chrono::steady_clock::time_point{} &&
-        now - last_fetch_ <= options_.follower_ttl;
+        now - last_fetch_ <= kFollowerTtl;
     if (now >= deadline || !follower_live) {
       ++stats_.fence_timeouts;
       return false;
@@ -239,7 +252,7 @@ WalShipperStats WalShipper::stats() const {
   const auto now = std::chrono::steady_clock::now();
   stats.followers =
       (last_fetch_ != std::chrono::steady_clock::time_point{} &&
-       now - last_fetch_ <= options_.follower_ttl)
+       now - last_fetch_ <= kFollowerTtl)
           ? 1
           : 0;
   return stats;
@@ -338,6 +351,17 @@ Status RewindDurableState(const std::string& dir, uint64_t fence_lsn) {
 
 // --- WalFollower ----------------------------------------------------------
 
+namespace {
+
+/// Records per fetch.
+constexpr uint32_t kFollowerBatch = 512;
+/// Long-poll wait the follower asks the source for when caught up.
+constexpr std::chrono::milliseconds kFollowerPollWait{500};
+/// Backoff between retries after a fetch/apply error.
+constexpr std::chrono::milliseconds kFollowerRetryBackoff{200};
+
+}  // namespace
+
 WalFollower::WalFollower(DurableIngest* ingest, ReplicationSource* source,
                          AppliedCallback on_applied,
                          WalFollowerOptions options)
@@ -395,7 +419,7 @@ void WalFollower::Run() {
       if (stop_) return;
     }
     Result<ShippedBatch> fetched =
-        source_->Fetch(applied, options_.batch, options_.poll_wait);
+        source_->Fetch(applied, kFollowerBatch, kFollowerPollWait);
     if (!fetched.ok()) {
       MutexLock lock(&mu_);
       ++stats_.fetch_errors;
@@ -405,7 +429,7 @@ void WalFollower::Run() {
       // operator restart (which re-bootstraps) finds the loop alive and
       // the error visible in stats.
       stop_cv_.WaitUntil(
-          &mu_, std::chrono::steady_clock::now() + options_.retry_backoff);
+          &mu_, std::chrono::steady_clock::now() + kFollowerRetryBackoff);
       continue;
     }
     {
@@ -425,7 +449,7 @@ void WalFollower::Run() {
         stats_.last_error = result.status().message();
         if (stop_) return;
         stop_cv_.WaitUntil(&mu_, std::chrono::steady_clock::now() +
-                                     options_.retry_backoff);
+                                     kFollowerRetryBackoff);
         break;  // refetch from the cursor; the stream must stay contiguous
       }
       applied = record.lsn;

@@ -76,18 +76,6 @@ struct ReplicationSnapshot {
   std::string bytes;
 };
 
-struct WalShipperOptions {
-  /// Batch ceiling when the fetch does not name one.
-  uint32_t default_batch = 256;
-  /// Hard ceiling regardless of what the fetch asks for.
-  uint32_t max_batch = 4096;
-  /// Long-poll ceiling: a caught-up fetch blocks at most this long.
-  std::chrono::milliseconds max_wait{2000};
-  /// A follower whose last fetch is older than this stops counting toward
-  /// followers() (and its ack stops holding back WaitAcked reporting).
-  std::chrono::milliseconds follower_ttl{10000};
-};
-
 struct WalShipperStats {
   uint64_t fetches = 0;
   uint64_t records_shipped = 0;
@@ -106,7 +94,7 @@ struct WalShipperStats {
 /// in-flight record simply bounds the batch at the valid prefix).
 class WalShipper {
  public:
-  explicit WalShipper(std::string dir, WalShipperOptions options = {});
+  explicit WalShipper(std::string dir);
 
   /// Records with lsn > ack_lsn, blocking up to `wait` when none exist
   /// yet. kNotFound when the log no longer reaches back to ack_lsn + 1
@@ -131,7 +119,6 @@ class WalShipper {
 
  private:
   const std::string dir_;
-  const WalShipperOptions options_;
   mutable Mutex mu_;
   CondVar tip_advanced_;   // signaled by NotifyAppended
   CondVar ack_advanced_;   // signaled when acked_lsn_ moves
@@ -157,9 +144,8 @@ class ReplicationSource {
 /// In-process source: ships straight out of another data directory.
 class DirReplicationSource : public ReplicationSource {
  public:
-  explicit DirReplicationSource(std::string dir,
-                                WalShipperOptions options = {})
-      : shipper_(std::move(dir), options) {}
+  explicit DirReplicationSource(std::string dir)
+      : shipper_(std::move(dir)) {}
 
   Result<ShippedBatch> Fetch(uint64_t ack_lsn, uint32_t max_records,
                              std::chrono::milliseconds wait) override {
@@ -200,12 +186,6 @@ Status WipeDurableState(const std::string& dir);
 Status RewindDurableState(const std::string& dir, uint64_t fence_lsn);
 
 struct WalFollowerOptions {
-  /// Records per fetch.
-  uint32_t batch = 512;
-  /// Long-poll wait the follower asks the source for when caught up.
-  std::chrono::milliseconds poll_wait{500};
-  /// Backoff between retries after a fetch/apply error.
-  std::chrono::milliseconds retry_backoff{200};
   /// Minimum pause between fetches once caught up. Zero fetches again
   /// immediately, so every primary append wakes the apply loop; a
   /// non-zero value lets appends accumulate and land as one batch —

@@ -190,18 +190,6 @@ Result<FsyncPolicy> FsyncPolicyFromName(const std::string& name) {
       "unknown fsync policy '" + name + "' (want: always, every, timer)");
 }
 
-const char* FsyncPolicyName(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kEveryRecord:
-      return "always";
-    case FsyncPolicy::kEveryN:
-      return "every";
-    case FsyncPolicy::kInterval:
-      return "timer";
-  }
-  return "unknown";
-}
-
 std::string EncodeRowPayload(const std::vector<double>& values) {
   std::string payload;
   PutU32(&payload, static_cast<uint32_t>(values.size()));

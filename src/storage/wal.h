@@ -51,7 +51,6 @@ enum class FsyncPolicy {
 /// Parses "always" / "every" / "timer" (the --fsync-policy spellings);
 /// fails with kInvalidArgument on anything else.
 Result<FsyncPolicy> FsyncPolicyFromName(const std::string& name);
-const char* FsyncPolicyName(FsyncPolicy policy);
 
 struct WalOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;

@@ -1,13 +1,11 @@
-// Tests for the ThreadPool behind ParallelChunks and SkycubeService.
+// Tests for the ThreadPool behind SkycubeService and NetServer.
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/parallel.h"
 #include "common/thread_pool.h"
 
 namespace skycube {
@@ -79,55 +77,6 @@ TEST(ThreadPoolTest, TrySubmitRefusesWhenFull) {
   }
   EXPECT_FALSE(accepted);
   release.store(true);
-}
-
-TEST(ThreadPoolTest, OnWorkerThreadFlag) {
-  EXPECT_FALSE(ThreadPool::OnWorkerThread());
-  ThreadPool pool(ThreadPoolOptions{2, 8});
-  std::atomic<int> on_worker{0};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&] {
-      if (ThreadPool::OnWorkerThread()) ++on_worker;
-      ++done;
-    });
-  }
-  while (done.load() < 8) std::this_thread::yield();
-  EXPECT_EQ(on_worker.load(), 8);
-}
-
-TEST(ThreadPoolTest, NestedParallelChunksFromWorkerRunsInline) {
-  // A ParallelChunks call from inside a pool task must complete even when
-  // every worker is busy issuing nested calls — the deadlock scenario the
-  // inline-nesting rule exists for.
-  ThreadPool& pool = ThreadPool::Shared();
-  const int tasks = pool.num_threads() + 2;
-  std::atomic<int> done{0};
-  std::atomic<uint64_t> total{0};
-  for (int i = 0; i < tasks; ++i) {
-    pool.Submit([&] {
-      ParallelChunks(100, 4, [&](int, size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j) total += j;
-      });
-      ++done;
-    });
-  }
-  while (done.load() < tasks) std::this_thread::yield();
-  EXPECT_EQ(total.load(), static_cast<uint64_t>(tasks) * (99 * 100 / 2));
-}
-
-TEST(ThreadPoolTest, ParallelChunksSharedPoolStress) {
-  // Many back-to-back ParallelChunks calls reuse pooled workers; per-call
-  // correctness must hold throughout.
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint64_t> partial(4, 0);
-    ParallelChunks(1000, 4, [&](int chunk, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) partial[chunk] += i;
-    });
-    uint64_t total = 0;
-    for (uint64_t p : partial) total += p;
-    EXPECT_EQ(total, 1000u * 999 / 2);
-  }
 }
 
 }  // namespace

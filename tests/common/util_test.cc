@@ -59,6 +59,14 @@ TEST(FlagParserTest, ParsesAllForms) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+TEST(FlagParserDeathTest, RejectsOutOfRangeInteger) {
+  const char* argv[] = {"prog", "--tuples=99999999999999999999",
+                        "--low=-99999999999999999999"};
+  FlagParser flags(3, const_cast<char**>(argv));
+  EXPECT_DEATH(flags.GetInt("tuples", 0), "flag --tuples expects an integer");
+  EXPECT_DEATH(flags.GetInt("low", 0), "flag --low expects an integer");
+}
+
 TEST(RngTest, DeterministicAndWellDistributed) {
   Rng a(123);
   Rng b(123);

@@ -16,14 +16,12 @@ namespace {
 DimMask M(const char* letters) { return MaskFromLetters(letters); }
 
 // Runs seeds → seed lattice → extension on `data` and returns the groups.
-SkylineGroupSet Extend(const Dataset& data, NonSeedExtensionStats* stats,
-                       int num_threads = 1) {
+SkylineGroupSet Extend(const Dataset& data, NonSeedExtensionStats* stats) {
   const std::vector<ObjectId> seeds =
       ComputeSkyline(data, data.full_mask());
   const std::vector<SeedSkylineGroup> seed_groups =
       BuildSeedSkylineGroups(SeedRows(data, seeds));
-  SkylineGroupSet groups =
-      ExtendWithNonSeeds(data, seeds, seed_groups, stats, num_threads);
+  SkylineGroupSet groups = ExtendWithNonSeeds(data, seeds, seed_groups, stats);
   NormalizeGroups(&groups);
   return groups;
 }
@@ -129,26 +127,6 @@ TEST(NonSeedExtensionTest, ChainOfSharingNonSeeds) {
   ASSERT_NE(wide, nullptr);
   EXPECT_EQ(wide->max_subspace, M("A"));
   EXPECT_EQ(wide->decisive_subspaces, (std::vector<DimMask>{M("A")}));
-}
-
-TEST(NonSeedExtensionTest, ParallelMatchesSequential) {
-  const Dataset data = Dataset::FromRows({
-                                             {5, 6, 10, 7},
-                                             {2, 6, 8, 3},
-                                             {5, 4, 9, 3},
-                                             {6, 4, 8, 5},
-                                             {2, 4, 9, 3},
-                                             {9, 4, 9, 3},
-                                             {2, 9, 9, 3},
-                                         })
-                           .value();
-  NonSeedExtensionStats sequential_stats;
-  NonSeedExtensionStats parallel_stats;
-  const SkylineGroupSet sequential = Extend(data, &sequential_stats, 1);
-  const SkylineGroupSet parallel = Extend(data, &parallel_stats, 3);
-  EXPECT_EQ(sequential, parallel);
-  EXPECT_EQ(sequential_stats.relevant_pairs, parallel_stats.relevant_pairs);
-  EXPECT_EQ(sequential_stats.derived_groups, parallel_stats.derived_groups);
 }
 
 }  // namespace

@@ -173,30 +173,5 @@ TEST(SeedLatticeTest, DecisiveFromEdgesConventions) {
             (std::vector<DimMask>{0b001, 0b100}));
 }
 
-TEST(SeedLatticeTest, ParallelMatchesSequential) {
-  // Deterministic output independent of thread count.
-  std::vector<std::vector<double>> rows;
-  for (int i = 0; i < 60; ++i) {
-    rows.push_back({static_cast<double>(i % 5), static_cast<double>(i % 7),
-                    static_cast<double>((i * 3) % 5),
-                    static_cast<double>((i * 7) % 11)});
-  }
-  const Dataset data = Dataset::FromRows(std::move(rows)).value();
-  // Use every object as a "seed" (the lattice code does not require the
-  // seed set to be a real skyline for its own invariants).
-  std::vector<ObjectId> all;
-  for (ObjectId i = 0; i < data.num_objects(); ++i) all.push_back(i);
-  const SeedRows seed_rows(data, all);
-  const auto sequential = BuildSeedSkylineGroups(seed_rows, nullptr, 1);
-  const auto parallel = BuildSeedSkylineGroups(seed_rows, nullptr, 4);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i].seed_indices, parallel[i].seed_indices);
-    EXPECT_EQ(sequential[i].max_subspace, parallel[i].max_subspace);
-    EXPECT_EQ(sequential[i].decisive, parallel[i].decisive);
-    EXPECT_EQ(sequential[i].reduced_edges, parallel[i].reduced_edges);
-  }
-}
-
 }  // namespace
 }  // namespace skycube

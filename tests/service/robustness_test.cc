@@ -1,9 +1,10 @@
 // Fault-tolerance behaviour of SkycubeService and CubeRebuilder, exercised
 // end-to-end through the fault-injection registry: deadline propagation,
 // admission control under saturation, per-item batch failure containment,
-// resilient background rebuilds, and a TSan-targeted stress mix of all of
-// the above. Test names start with "SkycubeService" so the CI sanitizer
-// matrix (-R "...|SkycubeService") picks them up.
+// a batch whose pool refuses every helper, resilient background rebuilds,
+// and a TSan-targeted stress mix of all of the above. Test names start with
+// "SkycubeService" so the CI sanitizer matrix (-R "...|SkycubeService")
+// picks them up.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -230,6 +231,52 @@ TEST_F(SkycubeServiceRobustnessTest, ThrowingBatchItemBecomesErrorResponse) {
   }
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(service.stats().internal_errors, 1u);
+}
+
+TEST_F(SkycubeServiceRobustnessTest, RefusedHelpersLeaveBatchToCaller) {
+  const Dataset data = MakeData(200, 5, 31);
+  SkycubeServiceOptions options;
+  options.cache.capacity = 0;  // every answer below is computed
+  options.batch_threads = 4;
+  SkycubeService service(MakeCube(data), options);
+
+  std::vector<QueryRequest> requests;
+  for (DimMask subspace = 1; subspace <= data.full_mask(); ++subspace) {
+    const auto object = static_cast<ObjectId>(subspace % data.num_objects());
+    requests.push_back(QueryRequest::SubspaceSkyline(subspace));
+    requests.push_back(QueryRequest::SkylineCardinality(subspace));
+    requests.push_back(QueryRequest::Membership(object, subspace));
+    requests.push_back(QueryRequest::MembershipCount(object));
+  }
+  requests.push_back(QueryRequest::SkycubeSize());
+  requests.push_back(QueryRequest::SubspaceSkyline(0));  // invalid item
+
+  // The pool refuses every helper for the whole batch, so the caller must
+  // claim and answer every request itself.
+  FaultInjection::Instance().ArmFailure("thread_pool.try_submit", -1);
+  const std::vector<QueryResponse> responses = service.ExecuteBatch(requests);
+  // The first refusal ends the helper loop.
+  EXPECT_EQ(FaultInjection::Instance().HitCount("thread_pool.try_submit"),
+            1u);
+  EXPECT_EQ(service.stats().queue_depth_high_water, 0u);  // nothing queued
+  FaultInjection::Instance().Reset();
+
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const QueryResponse expected = service.Execute(requests[i]);
+    const QueryResponse& got = responses[i];
+    EXPECT_EQ(got.kind, expected.kind) << i;
+    EXPECT_EQ(got.ok, expected.ok) << i;
+    EXPECT_EQ(got.code, expected.code) << i;
+    EXPECT_EQ(got.error, expected.error) << i;
+    EXPECT_EQ(got.count, expected.count) << i;
+    EXPECT_EQ(got.member, expected.member) << i;
+    EXPECT_EQ(got.snapshot_version, expected.snapshot_version) << i;
+    ASSERT_EQ(got.ids == nullptr, expected.ids == nullptr) << i;
+    if (got.ids != nullptr) {
+      EXPECT_EQ(*got.ids, *expected.ids) << i;
+    }
+  }
 }
 
 TEST_F(SkycubeServiceRobustnessTest, ThrowingSingleQueryIsContained) {

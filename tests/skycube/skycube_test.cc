@@ -1,6 +1,5 @@
 // Tests for full skycube materialization and candidate sharing.
 #include <set>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,45 +102,21 @@ TEST(SkycubeTest, CountMatchesMaterializedCube) {
 TEST(SkycubeTest, TraversalIsTopDownByLevel) {
   const Dataset data = RunningExample();
   int previous_size = data.num_dims() + 1;
+  DimMask previous_mask = 0;
   ForEachSubspaceSkyline(
       data, {},
       [&](DimMask subspace, const std::vector<ObjectId>&) {
         const int size = MaskSize(subspace);
         EXPECT_LE(size, previous_size)
             << "levels must be visited largest-first";
+        if (size == previous_size) {
+          EXPECT_GT(subspace, previous_mask) << "ascending within a level";
+        }
         previous_size = size;
+        previous_mask = subspace;
       },
       nullptr);
   EXPECT_EQ(previous_size, 1);
-}
-
-// The per-level fan-out must visit the same (subspace, skyline) sequence
-// as the sequential traversal.
-TEST(SkycubeTest, ParallelSkycubeDeterministic) {
-  SyntheticSpec spec;
-  spec.num_objects = 200;
-  spec.num_dims = 5;
-  spec.truncate_decimals = 2;
-  const Dataset data = GenerateSynthetic(spec);
-  std::vector<std::pair<DimMask, std::vector<ObjectId>>> reference;
-  ForEachSubspaceSkyline(
-      data, {}, [&](DimMask mask, const std::vector<ObjectId>& skyline) {
-        reference.emplace_back(mask, skyline);
-      });
-  for (int num_threads : {1, 0}) {
-    SkycubeOptions options;
-    options.num_threads = num_threads;
-    std::vector<std::pair<DimMask, std::vector<ObjectId>>> visited;
-    SkycubeStats stats;
-    ForEachSubspaceSkyline(
-        data, options,
-        [&](DimMask mask, const std::vector<ObjectId>& skyline) {
-          visited.emplace_back(mask, skyline);
-        },
-        &stats);
-    EXPECT_EQ(visited, reference) << "threads=" << num_threads;
-    EXPECT_EQ(stats.subspaces_visited, reference.size());
-  }
 }
 
 TEST(SkycubeTest, SingleDimensionDataset) {

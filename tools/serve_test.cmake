@@ -1,6 +1,7 @@
 # End-to-end integration test of skycube_serve, run by ctest: start the
 # server on a synthetic dataset, pipe a scripted session through stdin and
-# check the answer lines (one per query, "ok"/"err" prefixed).
+# check the answer lines (one per query, "ok"/"err" prefixed); then check
+# that an out-of-range --port is refused.
 # Invoked as:
 #   cmake -DSERVE=<path-to-binary> -DWORK_DIR=<scratch-dir> -P serve_test.cmake
 set(script "${WORK_DIR}/serve_test_session.txt")
@@ -74,4 +75,19 @@ if(NOT c1 STREQUAL c2)
 endif()
 
 file(REMOVE ${script})
+
+# A port outside [0, 65535] is a usage error (exit 2), not a silent wrap to
+# another port.
+execute_process(
+  COMMAND ${SERVE} --synthetic --tuples=50 --dims=3 --port=65536
+  TIMEOUT 30
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE code)
+if(NOT code EQUAL 2 OR NOT err MATCHES "outside \\[0, 65535\\]")
+  message(FATAL_ERROR
+    "--port=65536: expected exit 2 with a range message, got ${code}: "
+    "${err}\n${out}")
+endif()
+
 message(STATUS "skycube_serve end-to-end: OK")

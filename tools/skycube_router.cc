@@ -136,6 +136,11 @@ int Usage() {
 }
 
 int Run(const FlagParser& flags) {
+  if (const int64_t port = flags.GetInt("port", 0); port < 0 || port > 65535) {
+    std::fprintf(stderr, "--port=%lld is outside [0, 65535]\n",
+                 static_cast<long long>(port));
+    return 2;
+  }
   std::vector<router::ShardEndpointSet> endpoints;
   if (!flags.Has("shards") ||
       !ParseEndpoints(flags.GetString("shards", ""), &endpoints)) {

@@ -653,6 +653,11 @@ int ServeSocket(const FlagParser& flags, ServeSession& session) {
 
 int Serve(const FlagParser& flags) {
   ServeSession session;
+  if (const int64_t port = flags.GetInt("port", 0); port < 0 || port > 65535) {
+    std::fprintf(stderr, "--port=%lld is outside [0, 65535]\n",
+                 static_cast<long long>(port));
+    return 2;
+  }
   SkycubeServiceOptions options;
   options.cache.capacity =
       static_cast<size_t>(flags.GetInt("cache-capacity", 1 << 16));
