@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 
 #include "common/macros.h"
@@ -65,9 +66,12 @@ double FlagParser::GetDouble(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(it->second.c_str(), &end);
-  SKYCUBE_CHECK_MSG(end != it->second.c_str() && *end == '\0',
-                    ("flag --" + name + " expects a number").c_str());
+  // ERANGE: the value overflows to ±inf or underflows towards 0.
+  SKYCUBE_CHECK_MSG(
+      end != it->second.c_str() && *end == '\0' && errno != ERANGE,
+      ("flag --" + name + " expects a number").c_str());
   return value;
 }
 
@@ -79,6 +83,14 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   if (v == "false" || v == "0" || v == "no") return false;
   SKYCUBE_CHECK_MSG(false, ("flag --" + name + " expects a boolean").c_str());
   return default_value;
+}
+
+std::string FlagParser::FirstNegative(
+    std::initializer_list<const char*> names) const {
+  for (const char* name : names) {
+    if (GetInt(name, 0) < 0) return name;
+  }
+  return "";
 }
 
 }  // namespace skycube

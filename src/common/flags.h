@@ -5,6 +5,7 @@
 #define SKYCUBE_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,6 +27,11 @@ class FlagParser {
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+
+  /// The first of `names` given a negative integer, or "" if none is. A
+  /// tool checks its count and size flags with this before it casts them
+  /// to size_t, where -1 would wrap to 2^64 − 1.
+  std::string FirstNegative(std::initializer_list<const char*> names) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program_name() const { return program_name_; }

@@ -4,10 +4,58 @@
 #include <utility>
 #include <vector>
 
+#include "common/macros.h"
 #include "core/cgroup_miner.h"
 #include "core/transversals.h"
 
 namespace skycube {
+namespace {
+
+// One c-group's Corollary-1 edges, one copy of each. The scan yields one
+// edge per other seed, but an edge is a non-empty mask, so at most
+// min(|F(S)| − 1, 2^d − 1) of them are distinct, and ReduceEdges sorts only
+// those. Open addressing with linear probing, never more than half full. A
+// zero slot is free, which is safe because an empty edge kills its group
+// before it would be inserted. Clear() frees only the slots in use.
+class EdgeSet {
+ public:
+  // Room for `max_size` distinct edges.
+  explicit EdgeSet(uint64_t max_size) {
+    while ((uint64_t{1} << bits_) < 2 * max_size) ++bits_;
+    slots_.assign(size_t{1} << bits_, 0);
+  }
+
+  void Insert(DimMask edge) {
+    SKYCUBE_DCHECK(edge != 0);
+    // Fibonacci hashing: the top bits of the product depend on every bit.
+    size_t slot =
+        static_cast<size_t>((edge * 0x9E3779B97F4A7C15ULL) >> (64 - bits_));
+    while (slots_[slot] != 0) {
+      if (slots_[slot] == edge) return;
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    slots_[slot] = edge;
+    used_.push_back(slot);
+    edges_.push_back(edge);
+  }
+
+  // The distinct edges, in insertion order.
+  const std::vector<DimMask>& edges() const { return edges_; }
+
+  void Clear() {
+    for (size_t slot : used_) slots_[slot] = 0;
+    used_.clear();
+    edges_.clear();
+  }
+
+ private:
+  int bits_ = 1;
+  std::vector<DimMask> slots_;
+  std::vector<size_t> used_;
+  std::vector<DimMask> edges_;
+};
+
+}  // namespace
 
 SeedRows::SeedRows(const Dataset& data, const std::vector<ObjectId>& seeds)
     : num_dims_(data.num_dims()),
@@ -59,7 +107,8 @@ std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(const SeedRows& rows,
   std::vector<DimMask> dom;
   std::vector<char> in_group(n, 0);
   std::vector<MaximalCGroup> cgroups;
-  std::vector<DimMask> edges;
+  // universe() = 2^d − 1 is also the number of non-empty masks.
+  EdgeSet edges(std::min<uint64_t>(n, rows.universe()));
   for (size_t root = 0; root < n; ++root) {
     rows.Fill(static_cast<uint32_t>(root), &co, &dom);
     cgroups.clear();
@@ -70,7 +119,7 @@ std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(const SeedRows& rows,
       // smallest), and any member can stand for the group because members
       // coincide on B.
       for (uint32_t member : cgroup.member_indices) in_group[member] = 1;
-      edges.clear();
+      edges.Clear();
       bool dead = false;
       for (uint32_t w = 0; w < n; ++w) {
         if (in_group[w]) continue;
@@ -81,14 +130,14 @@ std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(const SeedRows& rows,
           dead = true;
           break;
         }
-        edges.push_back(edge);
+        edges.Insert(edge);
       }
       for (uint32_t member : cgroup.member_indices) in_group[member] = 0;
       if (dead) continue;
       SeedSkylineGroup group;
       group.seed_indices = std::move(cgroup.member_indices);
       group.max_subspace = cgroup.subspace;
-      group.reduced_edges = ReduceEdges(edges);
+      group.reduced_edges = ReduceEdges(edges.edges());
       // reduced_edges is non-empty unless the group faces no other seed; in
       // both cases DecisiveFromEdges yields a non-empty decisive list.
       group.decisive =

@@ -69,9 +69,10 @@ struct SeedLatticeStats {
 /// seed it fills that root's two rows, mines the root's branch of the
 /// maximal c-group search (Figure 6) from the coincidence row, derives each
 /// emitted group's decisive subspaces from the dominance row via minimal
-/// transversals (Corollary 1), and drops maximal c-groups with no non-empty
-/// decisive subspace — those are not skyline groups (paper's Algorithm
-/// Stellar, step 4). Groups come out in root order.
+/// transversals (Corollary 1) of the group's distinct edges (one per other
+/// seed, but at most 2^d − 1 of them differ), and drops maximal c-groups
+/// with no non-empty decisive subspace — those are not skyline groups
+/// (paper's Algorithm Stellar, step 4). Groups come out in root order.
 std::vector<SeedSkylineGroup> BuildSeedSkylineGroups(
     const SeedRows& rows, SeedLatticeStats* stats = nullptr);
 

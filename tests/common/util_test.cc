@@ -67,6 +67,24 @@ TEST(FlagParserDeathTest, RejectsOutOfRangeInteger) {
   EXPECT_DEATH(flags.GetInt("low", 0), "flag --low expects an integer");
 }
 
+TEST(FlagParserDeathTest, RejectsOutOfRangeDouble) {
+  const char* argv[] = {"prog", "--big=1e999", "--low=-1e999", "--tiny=1e-999",
+                        "--fine=1e300"};
+  FlagParser flags(5, const_cast<char**>(argv));
+  EXPECT_DEATH(flags.GetDouble("big", 0), "flag --big expects a number");
+  EXPECT_DEATH(flags.GetDouble("low", 0), "flag --low expects a number");
+  EXPECT_DEATH(flags.GetDouble("tiny", 0), "flag --tiny expects a number");
+  EXPECT_DOUBLE_EQ(flags.GetDouble("fine", 0), 1e300);
+}
+
+TEST(FlagParserTest, FirstNegativeNamesTheFirstNegativeFlag) {
+  const char* argv[] = {"prog", "--a=3", "--b=-1", "--c=-2", "--d=0"};
+  FlagParser flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.FirstNegative({"a", "missing", "c", "b"}), "c");
+  EXPECT_EQ(flags.FirstNegative({"a", "d", "missing"}), "");
+  EXPECT_EQ(flags.FirstNegative({}), "");
+}
+
 TEST(RngTest, DeterministicAndWellDistributed) {
   Rng a(123);
   Rng b(123);

@@ -1,12 +1,17 @@
 // Direct unit tests for seed-lattice construction (Stellar steps 2–4),
 // independent of the full pipeline.
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cgroup_miner.h"
 #include "core/seed_lattice.h"
+#include "core/transversals.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
+#include "skyline/algorithms.h"
 
 namespace skycube {
 namespace {
@@ -92,6 +97,139 @@ TEST(SeedLatticeTest, RowsMatchDatasetMasks) {
   single.Fill(0, &co, &dom);
   EXPECT_EQ(co, (std::vector<DimMask>{0b111}));
   EXPECT_EQ(dom, (std::vector<DimMask>{0}));
+}
+
+// What BuildSeedSkylineGroups must return for `seeds` (ids into `data`),
+// without its edge set: every root's branch is mined from a coincidence row
+// of Dataset::CoincidenceMask cells, each c-group's full edge list (one
+// Dataset::DominanceMask cell per other seed, duplicates kept) kills the
+// group if it holds the empty edge and otherwise goes through ReduceEdges
+// and DecisiveFromEdges. Counts the killed groups in `num_killed`.
+std::vector<SeedSkylineGroup> OracleSeedGroups(
+    const Dataset& data, const std::vector<ObjectId>& seeds,
+    size_t* num_killed) {
+  const DimMask universe = data.full_mask();
+  std::vector<SeedSkylineGroup> groups;
+  *num_killed = 0;
+  for (uint32_t root = 0; root < seeds.size(); ++root) {
+    std::vector<DimMask> co;
+    for (ObjectId other : seeds) {
+      co.push_back(data.CoincidenceMask(seeds[root], other, universe));
+    }
+    std::vector<MaximalCGroup> cgroups;
+    MineBranch(root, co, universe, &cgroups);
+    for (const MaximalCGroup& cgroup : cgroups) {
+      std::vector<DimMask> edges;
+      for (uint32_t w = 0; w < seeds.size(); ++w) {
+        if (std::binary_search(cgroup.member_indices.begin(),
+                               cgroup.member_indices.end(), w)) {
+          continue;
+        }
+        edges.push_back(
+            data.DominanceMask(seeds[root], seeds[w], cgroup.subspace));
+      }
+      if (std::find(edges.begin(), edges.end(), kEmptyMask) != edges.end()) {
+        ++*num_killed;
+        continue;
+      }
+      SeedSkylineGroup group;
+      group.seed_indices = cgroup.member_indices;
+      group.max_subspace = cgroup.subspace;
+      group.reduced_edges = ReduceEdges(edges);
+      group.decisive = DecisiveFromEdges(edges, cgroup.subspace);
+      groups.push_back(std::move(group));
+    }
+  }
+  return groups;
+}
+
+// Runs BuildSeedSkylineGroups over `seeds` and checks its groups, in
+// output order, against OracleSeedGroups, whose killed groups are counted
+// in `num_killed`.
+std::vector<SeedSkylineGroup> BuildAndCheckAgainstOracle(
+    const Dataset& data, const std::vector<ObjectId>& seeds,
+    size_t* num_killed) {
+  SeedLatticeStats stats;
+  std::vector<SeedSkylineGroup> groups =
+      BuildSeedSkylineGroups(SeedRows(data, seeds), &stats);
+  const std::vector<SeedSkylineGroup> expected =
+      OracleSeedGroups(data, seeds, num_killed);
+  EXPECT_EQ(stats.num_maximal_cgroups, expected.size() + *num_killed);
+  EXPECT_EQ(stats.num_seed_skyline_groups, groups.size());
+  EXPECT_EQ(groups.size(), expected.size());
+  for (size_t i = 0; i < std::min(groups.size(), expected.size()); ++i) {
+    EXPECT_EQ(groups[i].seed_indices, expected[i].seed_indices) << i;
+    EXPECT_EQ(groups[i].max_subspace, expected[i].max_subspace) << i;
+    EXPECT_EQ(groups[i].reduced_edges, expected[i].reduced_edges) << i;
+    EXPECT_EQ(groups[i].decisive, expected[i].decisive) << i;
+  }
+  return groups;
+}
+
+// Rows of `data` with dimension `dim` overwritten by `value` in every row.
+Dataset WithConstantDim(const Dataset& data, int dim, double value) {
+  std::vector<std::vector<double>> rows;
+  for (ObjectId id = 0; id < data.num_objects(); ++id) {
+    const double* row = data.Row(id);
+    rows.emplace_back(row, row + data.num_dims());
+    rows.back()[dim] = value;
+  }
+  return Dataset::FromRows(std::move(rows)).value();
+}
+
+TEST(SeedLatticeTest, EdgesMatchFullEdgeListOracleOnTies) {
+  // d = 6 with one decimal digit: most c-groups share values with other
+  // seeds, so their edge lists repeat masks and some hold the empty edge.
+  // The constant last dimension gives one group of every seed, which faces
+  // no other seed.
+  for (Distribution distribution :
+       {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
+    SyntheticSpec spec;
+    spec.distribution = distribution;
+    spec.num_objects = 400;
+    spec.num_dims = 6;
+    spec.truncate_decimals = 1;
+    spec.seed = 11;
+    SCOPED_TRACE(DistributionName(distribution));
+    const Dataset data = WithConstantDim(GenerateSynthetic(spec), 5, 0.5);
+    const std::vector<ObjectId> seeds = ComputeSkyline(data, data.full_mask());
+    EXPECT_GT(seeds.size(), 20u);
+    size_t num_killed = 0;
+    const std::vector<SeedSkylineGroup> groups =
+        BuildAndCheckAgainstOracle(data, seeds, &num_killed);
+    EXPECT_GT(num_killed, 0u);
+    const SeedSkylineGroup* everyone = nullptr;
+    for (const SeedSkylineGroup& group : groups) {
+      if (group.seed_indices.size() == seeds.size()) everyone = &group;
+    }
+    ASSERT_NE(everyone, nullptr);
+    EXPECT_TRUE(everyone->reduced_edges.empty());
+    EXPECT_EQ(everyone->decisive, (std::vector<DimMask>{DimBit(5)}));
+  }
+}
+
+TEST(SeedLatticeTest, EdgesMatchFullEdgeListOracleAtTwentyDims) {
+  // Every row is a seed at d = 20: a group's distinct edges are bounded by
+  // the seeds it faces, not by 2^d, so the edge set holds dozens. (More
+  // seeds would mostly time MinimalTransversals, twice.)
+  SyntheticSpec spec;
+  spec.distribution = Distribution::kAntiCorrelated;
+  spec.num_objects = 100;
+  spec.num_dims = 20;
+  spec.truncate_decimals = 2;
+  spec.seed = 5;
+  const Dataset data = GenerateSynthetic(spec);
+  const std::vector<ObjectId> seeds = ComputeSkyline(data, data.full_mask());
+  EXPECT_EQ(seeds.size(), 100u);
+  size_t num_killed = 0;
+  const std::vector<SeedSkylineGroup> groups =
+      BuildAndCheckAgainstOracle(data, seeds, &num_killed);
+  EXPECT_GT(num_killed, 0u);
+  size_t widest = 0;
+  for (const SeedSkylineGroup& group : groups) {
+    widest = std::max(widest, group.reduced_edges.size());
+  }
+  EXPECT_GT(widest, 50u);
 }
 
 TEST(SeedLatticeTest, RunningExampleFigure3a) {

@@ -1,9 +1,11 @@
 # End-to-end integration test of skycube_serve, run by ctest: start the
 # server on a synthetic dataset, pipe a scripted session through stdin and
 # check the answer lines (one per query, "ok"/"err" prefixed); then check
-# that an out-of-range --port is refused.
+# that an out-of-range --port and negative counts are refused, by
+# skycube_router too.
 # Invoked as:
-#   cmake -DSERVE=<path-to-binary> -DWORK_DIR=<scratch-dir> -P serve_test.cmake
+#   cmake -DSERVE=<path-to-binary> -DROUTER=<path-to-binary>
+#         -DWORK_DIR=<scratch-dir> -P serve_test.cmake
 set(script "${WORK_DIR}/serve_test_session.txt")
 file(WRITE ${script} "skyline AC
 card AC
@@ -89,5 +91,27 @@ if(NOT code EQUAL 2 OR NOT err MATCHES "outside \\[0, 65535\\]")
     "--port=65536: expected exit 2 with a range message, got ${code}: "
     "${err}\n${out}")
 endif()
+
+# A negative count or size is a usage error (exit 2), not a wrap to a huge
+# size_t (--tuples=-1 asked for 2^64 - 1 rows and died in bad_alloc). The
+# router refuses before it contacts any shard.
+foreach(args
+    "${SERVE};--synthetic;--tuples=-1;--dims=2"
+    "${SERVE};--synthetic;--tuples=50;--dims=3;--cache-capacity=-5"
+    "${SERVE};--synthetic;--tuples=50;--dims=3;--max-connections=-1"
+    "${ROUTER};--shards=127.0.0.1:1;--synthetic;--tuples=-1;--dims=2"
+    "${ROUTER};--shards=127.0.0.1:1;--synthetic;--net-queue=-3")
+  execute_process(
+    COMMAND ${args}
+    TIMEOUT 30
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE code)
+  if(NOT code EQUAL 2 OR NOT err MATCHES "must not be negative")
+    message(FATAL_ERROR
+      "${args}: expected exit 2 with a sign message, got ${code}: "
+      "${err}\n${out}")
+  endif()
+endforeach()
 
 message(STATUS "skycube_serve end-to-end: OK")

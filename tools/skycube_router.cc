@@ -141,6 +141,13 @@ int Run(const FlagParser& flags) {
                  static_cast<long long>(port));
     return 2;
   }
+  const std::string negative = flags.FirstNegative(
+      {"tuples", "net-queue", "max-pipeline", "max-connections", "staleness"});
+  if (!negative.empty()) {
+    std::fprintf(stderr, "--%s=%s must not be negative\n", negative.c_str(),
+                 flags.GetString(negative, "").c_str());
+    return 2;
+  }
   std::vector<router::ShardEndpointSet> endpoints;
   if (!flags.Has("shards") ||
       !ParseEndpoints(flags.GetString("shards", ""), &endpoints)) {

@@ -658,6 +658,15 @@ int Serve(const FlagParser& flags) {
                  static_cast<long long>(port));
     return 2;
   }
+  const std::string negative = flags.FirstNegative(
+      {"tuples", "net-queue", "max-pipeline", "max-connections",
+       "cache-capacity", "cache-shards", "max-in-flight", "checkpoint-every",
+       "keep-checkpoints"});
+  if (!negative.empty()) {
+    std::fprintf(stderr, "--%s=%s must not be negative\n", negative.c_str(),
+                 flags.GetString(negative, "").c_str());
+    return 2;
+  }
   SkycubeServiceOptions options;
   options.cache.capacity =
       static_cast<size_t>(flags.GetInt("cache-capacity", 1 << 16));
