@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -9,108 +11,49 @@
 
 namespace skycube {
 
-namespace {
-
-// State of one set-enumeration node. `pool` holds every object (any order
-// position) still coinciding with the branch root on part of B — the set the
-// closure test must scan; `candidates` ⊆ pool holds the objects allowed as
-// future extensions (ordered after every chosen object).
-struct Frame {
-  std::vector<uint32_t> group;       // ascending
-  std::vector<uint32_t> pool;        // ascending
-  std::vector<uint32_t> candidates;  // ascending
-  DimMask subspace = 0;
-};
-
-class Miner {
- public:
-  Miner(uint32_t root, const std::vector<DimMask>& coincidence,
-        std::vector<MaximalCGroup>* out)
-      : root_(root), co_(coincidence), out_(out) {}
-
-  void Run(DimMask universe) {
-    const size_t n = co_.size();
-    Frame frame;
-    frame.group = {root_};
-    frame.subspace = universe;
-    frame.pool.reserve(n - 1);
-    frame.candidates.reserve(n - root_ - 1);
-    for (uint32_t o = 0; o < n; ++o) {
-      if (o == root_) continue;
-      if ((co_[o] & frame.subspace) != 0) {
-        frame.pool.push_back(o);
-        if (o > root_) frame.candidates.push_back(o);
-      }
-    }
-    Search(std::move(frame));
-  }
-
- private:
-  void Search(Frame frame) {
-    // Closure: absorb every pool object sharing the whole of B.
-    std::vector<uint32_t> closure;
-    for (uint32_t o : frame.pool) {
-      if (IsSubsetOf(frame.subspace, co_[o])) closure.push_back(o);
-    }
-    // Prune if the closure reaches outside the candidate set: the closed
-    // group's smallest generating path runs through another branch.
-    if (!std::includes(frame.candidates.begin(), frame.candidates.end(),
-                       closure.begin(), closure.end())) {
-      return;
-    }
-    if (!closure.empty()) {
-      std::vector<uint32_t> merged;
-      merged.reserve(frame.group.size() + closure.size());
-      std::merge(frame.group.begin(), frame.group.end(), closure.begin(),
-                 closure.end(), std::back_inserter(merged));
-      frame.group = std::move(merged);
-      EraseSorted(&frame.pool, closure);
-      EraseSorted(&frame.candidates, closure);
-    }
-    out_->push_back({frame.group, frame.subspace});
-
-    for (size_t j = 0; j < frame.candidates.size(); ++j) {
-      const uint32_t added = frame.candidates[j];
-      const DimMask child_subspace = co_[added] & frame.subspace;
-      if (child_subspace == 0) continue;
-      Frame child;
-      child.subspace = child_subspace;
-      child.group.reserve(frame.group.size() + 1);
-      child.group = frame.group;
-      child.group.insert(
-          std::upper_bound(child.group.begin(), child.group.end(), added),
-          added);
-      for (uint32_t o : frame.pool) {
-        if (o == added) continue;
-        if ((co_[o] & child_subspace) != 0) child.pool.push_back(o);
-      }
-      for (size_t k = j + 1; k < frame.candidates.size(); ++k) {
-        const uint32_t o = frame.candidates[k];
-        if ((co_[o] & child_subspace) != 0) child.candidates.push_back(o);
-      }
-      Search(std::move(child));
-    }
-  }
-
-  static void EraseSorted(std::vector<uint32_t>* from,
-                          const std::vector<uint32_t>& remove) {
-    std::vector<uint32_t> kept;
-    kept.reserve(from->size());
-    std::set_difference(from->begin(), from->end(), remove.begin(),
-                        remove.end(), std::back_inserter(kept));
-    *from = std::move(kept);
-  }
-
-  const uint32_t root_;
-  const std::vector<DimMask>& co_;  // co(root_, ·)
-  std::vector<MaximalCGroup>* out_;
-};
-
-}  // namespace
-
 void MineBranch(uint32_t root, const std::vector<DimMask>& coincidence,
                 DimMask universe, std::vector<MaximalCGroup>* out) {
-  Miner(root, coincidence, out).Run(universe);
+  // Bucket the other objects by their non-empty mask co(root, o). Members
+  // are pushed in order, so a bucket's front() is its smallest object.
+  std::unordered_map<DimMask, size_t> bucket_of;
+  std::vector<DimMask> masks;
+  std::vector<std::vector<uint32_t>> buckets;
+  for (uint32_t o = 0; o < coincidence.size(); ++o) {
+    const DimMask mask = coincidence[o];
+    if (o == root || mask == 0) continue;
+    const auto [it, inserted] = bucket_of.emplace(mask, masks.size());
+    if (inserted) {
+      masks.push_back(mask);
+      buckets.emplace_back();
+    }
+    buckets[it->second].push_back(o);
+  }
+  // Close {universe} ∪ masks under intersection. Every non-empty
+  // intersection is reached by intersecting one mask at a time, because
+  // each prefix of it is a superset and so non-empty too.
+  std::vector<DimMask> closed = {universe};
+  std::unordered_set<DimMask> seen = {universe};
+  for (size_t i = 0; i < closed.size(); ++i) {
+    for (DimMask mask : masks) {
+      const DimMask b = closed[i] & mask;
+      if (b != 0 && seen.insert(b).second) closed.push_back(b);
+    }
+  }
+  // G_B = {root} ∪ the buckets whose mask contains B. It is in this branch
+  // iff no member precedes the root.
+  std::vector<uint32_t> members;
+  for (DimMask b : closed) {
+    bool in_branch = true;
+    members.assign(1, root);
+    for (size_t k = 0; k < masks.size() && in_branch; ++k) {
+      if (!IsSubsetOf(b, masks[k])) continue;
+      in_branch = buckets[k].front() > root;
+      members.insert(members.end(), buckets[k].begin(), buckets[k].end());
+    }
+    if (!in_branch) continue;
+    std::sort(members.begin(), members.end());
+    out->push_back({members, b});
+  }
 }
 
 std::vector<MaximalCGroup> MineMaximalCGroupsBruteForce(

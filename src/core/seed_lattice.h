@@ -15,11 +15,11 @@ namespace skycube {
 
 /// The seed objects F(S), gathered once into a column-major block of
 /// doubles. Stellar reads the dominance and coincidence matrices of the
-/// paper's §5.1 (Figure 4) one row at a time: every c-group probe of the
-/// Figure 6 search is co(root, ·), and every Corollary 1 edge scan is
-/// dom(root, ·) of the root that emitted the group. So rows are computed
-/// on demand and no |F(S)|² matrix is ever stored. Seeds are addressed by
-/// *seed index* (position in the seed list, not raw ObjectId).
+/// paper's §5.1 (Figure 4) one row at a time: a root's maximal c-groups
+/// come from co(root, ·) alone (core/cgroup_miner.h), and every Corollary 1
+/// edge scan is dom(root, ·) of the root that emitted the group. So rows
+/// are computed on demand and no |F(S)|² matrix is ever stored. Seeds are
+/// addressed by *seed index* (position in the seed list, not raw ObjectId).
 class SeedRows {
  public:
   /// Gathers the rows of `seeds` (ids into `data`) on every dimension.
@@ -66,8 +66,9 @@ struct SeedLatticeStats {
 };
 
 /// Computes all seed skyline groups in one pass over the roots: for each
-/// seed it fills that root's two rows, mines the root's branch of the
-/// maximal c-group search (Figure 6) from the coincidence row, derives each
+/// seed it fills that root's two rows, mines from the coincidence row the
+/// maximal c-groups (the groups of Figure 6) whose smallest member is the
+/// root, as the closure of the row's masks under intersection, derives each
 /// emitted group's decisive subspaces from the dominance row via minimal
 /// transversals (Corollary 1) of the group's distinct edges (one per other
 /// seed, but at most 2^d − 1 of them differ), and drops maximal c-groups

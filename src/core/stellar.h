@@ -6,7 +6,9 @@
 // Pipeline (paper Figure 7):
 //   1. full-space skyline F(S), gathered for the per-root rows of the
 //      dominance/coincidence matrices (byproduct);
-//   2. maximal c-groups over F(S) (set-enumeration closure search, Fig. 6);
+//   2. maximal c-groups over F(S), the groups of Fig. 6 found per root as
+//      the closure of its coincidence masks under intersection
+//      (core/cgroup_miner.h);
 //   3. decisive subspaces per group via minimal transversals (Corollary 1);
 //   4. drop c-groups with no non-empty decisive subspace;
 //   5. accommodate non-seed objects (Theorem 5).

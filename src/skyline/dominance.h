@@ -1,6 +1,6 @@
 // Dominance kernels: pairwise comparison of objects within a subspace.
 // These are the innermost loops of SFS (skyline/sfs.cc), the brute-force
-// oracle (core/reference.h), incremental maintenance and the skyband.
+// oracle (core/reference.h) and incremental maintenance.
 #ifndef SKYCUBE_SKYLINE_DOMINANCE_H_
 #define SKYCUBE_SKYLINE_DOMINANCE_H_
 

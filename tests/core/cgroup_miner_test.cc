@@ -1,4 +1,7 @@
-// Tests for the maximal c-group miner (paper Figure 6 / Example 8).
+// Tests for the maximal c-group miner: the groups of the paper's Figure 6
+// search and Example 8, found per root as the closure of its coincidence
+// masks under intersection (a different enumeration; see cgroup_miner.h),
+// checked against the brute-force oracle.
 #include <algorithm>
 #include <set>
 #include <vector>
@@ -119,11 +122,21 @@ TEST(CGroupMinerTest, NoSharingYieldsOnlySingletons) {
 
 TEST(CGroupMinerTest, EmitsEachGroupExactlyOnce) {
   Rng rng(5);
-  for (int round = 0; round < 60; ++round) {
-    const int n = 2 + static_cast<int>(rng.NextBounded(11));
-    const int d = 1 + static_cast<int>(rng.NextBounded(5));
+  for (int round = 0; round < 75; ++round) {
+    // The first 60 rounds are small and low-dimensional. The wide ones go up
+    // to 16 dimensions and to the brute force's 20 objects, with duplicate
+    // rows, so that a root's row holds many distinct coincidence masks.
+    const bool wide = round >= 60;
+    const int n = wide ? 12 + static_cast<int>(rng.NextBounded(9))
+                       : 2 + static_cast<int>(rng.NextBounded(11));
+    const int d = wide ? 6 + static_cast<int>(rng.NextBounded(11))
+                       : 1 + static_cast<int>(rng.NextBounded(5));
     std::vector<std::vector<double>> rows;
     for (int i = 0; i < n; ++i) {
+      if (wide && i > 0 && rng.NextBounded(4) == 0) {
+        rows.push_back(rows[rng.NextBounded(i)]);
+        continue;
+      }
       std::vector<double> row(d);
       for (int j = 0; j < d; ++j) {
         row[j] = static_cast<double>(rng.NextBounded(3));

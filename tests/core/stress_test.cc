@@ -66,6 +66,22 @@ TEST(StressTest, ReadWorkloadShape) {
   EXPECT_EQ(stats.num_seeds, 2330u);
 }
 
+// Tie-heavy and high-dimensional: 2,000 anti-correlated rows at d = 10,
+// truncated to one decimal, give 1,844 seeds whose coincidence rows hold
+// many distinct masks each, so every seed lies in many maximal c-groups.
+TEST(StressTest, TieHeavyAntiCorrelatedTenDims) {
+  SyntheticSpec spec;
+  spec.distribution = Distribution::kAntiCorrelated;
+  spec.num_objects = 2000;
+  spec.num_dims = 10;
+  spec.truncate_decimals = 1;
+  spec.seed = 7;
+  StellarStats stats;
+  ExpectEnginesAgree(GenerateSynthetic(spec), "anti/d10/1-decimal", &stats);
+  EXPECT_EQ(stats.num_seeds, 1844u);
+  EXPECT_EQ(stats.num_groups, 2168u);
+}
+
 TEST(StressTest, NbaLikePrefixes) {
   const Dataset nba = GenerateNbaLike(4000, 11).Negated();
   for (int d : {3, 6, 9}) {
