@@ -2,12 +2,11 @@
 // text format, the embedded cube, and the replication snapshot-install
 // path that feeds untrusted checkpoint bytes to it.
 //
-// Modes (first input byte % 3):
+// Modes (first input byte % 2):
 //   0  raw bytes straight into ParseCheckpoint
 //   1  the remaining bytes wrapped with a valid "skycube-checkpoint v2"
 //      header and a correct checksum, so mutations reach the structural
 //      parsing behind the digest gate
-//   2  like 1 but a v1 header (the legacy no-liveness format)
 //
 // Properties: ParseCheckpoint never crashes or over-allocates; whatever
 // it accepts must survive InstallSnapshot + LoadCheckpoint (the replica
@@ -20,11 +19,11 @@
 #include <string>
 #include <string_view>
 
+#include "core/serialization.h"
 #include "fuzz_util.h"
 #include "storage/checkpointer.h"
 #include "storage/replication.h"
 
-using skycube::fuzz::ChecksumHex;
 using skycube::fuzz::Expect;
 using skycube::fuzz::InputReader;
 
@@ -52,20 +51,14 @@ void WipeDir(const std::string& dir) {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
   InputReader in(data, size);
-  const uint8_t mode = in.TakeByte() % 3;
+  const uint8_t mode = in.TakeByte() % 2;
   const std::string_view rest = in.Rest();
 
-  std::string text;
-  if (mode == 0) {
-    text.assign(rest.data(), rest.size());
-  } else {
-    // The checksum covers everything after the checksum line's newline;
-    // forging it here lets mutations past the digest gate.
-    const char* version = mode == 1 ? "v2" : "v1";
-    text = std::string("skycube-checkpoint ") + version + "\nchecksum " +
-           ChecksumHex(skycube::Fnv1a64(rest)) + "\n";
-    text.append(rest);
-  }
+  // The checksum covers everything after the checksum line's newline;
+  // forging it here lets mutations past the digest gate.
+  const std::string text =
+      mode == 0 ? std::string(rest)
+                : skycube::WrapChecksummed("skycube-checkpoint v2", rest);
 
   skycube::Result<skycube::CheckpointData> parsed =
       skycube::ParseCheckpoint(text);

@@ -1,11 +1,10 @@
 // Fuzz target: the compressed-cube text codec (core/serialization.h) —
 // the format embedded inside every checkpoint and served from disk.
 //
-// Modes (first input byte % 3):
+// Modes (first input byte % 2):
 //   0  raw bytes straight into DeserializeCube
 //   1  the remaining bytes wrapped with a "skycube-cube v2" header and a
 //      correct checksum (reaches the structural parser behind the digest)
-//   2  a legacy v1 header (no checksum line)
 //
 // Properties: DeserializeCube never crashes or over-allocates; whatever
 // it accepts re-serializes and re-parses to the same cube (projections
@@ -19,27 +18,18 @@
 #include "fuzz_util.h"
 
 using skycube::fuzz::BitEqual;
-using skycube::fuzz::ChecksumHex;
 using skycube::fuzz::Expect;
 using skycube::fuzz::InputReader;
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
   InputReader in(data, size);
-  const uint8_t mode = in.TakeByte() % 3;
+  const uint8_t mode = in.TakeByte() % 2;
   const std::string_view rest = in.Rest();
 
-  std::string text;
-  if (mode == 0) {
-    text.assign(rest.data(), rest.size());
-  } else if (mode == 1) {
-    text = "skycube-cube v2\nchecksum " +
-           ChecksumHex(skycube::Fnv1a64(rest)) + "\n";
-    text.append(rest);
-  } else {
-    text = "skycube-cube v1\n";
-    text.append(rest);
-  }
+  const std::string text =
+      mode == 0 ? std::string(rest)
+                : skycube::WrapChecksummed("skycube-cube v2", rest);
 
   skycube::Result<skycube::SerializedCube> first =
       skycube::DeserializeCube(text);

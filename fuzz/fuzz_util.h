@@ -12,7 +12,9 @@
 // mode selector. Mode 0 is always "raw bytes straight into the decoder";
 // higher modes wrap the remaining bytes so checksum/framing gates pass and
 // the fuzzer reaches the structural validation underneath (a mutation-only
-// fuzzer essentially never forges an FNV-1a digest on its own).
+// fuzzer essentially never forges an FNV-1a digest on its own). The text
+// formats wrap through WrapChecksummed (core/serialization.h), the one
+// envelope the cube file and the checkpoint share.
 #ifndef SKYCUBE_FUZZ_FUZZ_UTIL_H_
 #define SKYCUBE_FUZZ_FUZZ_UTIL_H_
 
@@ -105,27 +107,12 @@ inline std::string FramedPayload(std::string_view payload) {
 /// payload); the digest covers the len and lsn fields plus the payload,
 /// mirroring storage/wal.cc.
 inline std::string WalRecordBytes(uint64_t lsn, std::string_view payload) {
-  std::string header;
-  AppendU32Le(static_cast<uint32_t>(payload.size()), &header);
-  AppendU64Le(lsn, &header);
-  uint64_t hash = Fnv1a64(header);
-  // Continue the FNV stream over the payload, as storage/wal.cc does.
-  for (unsigned char c : payload) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  std::string out = header;
-  AppendU64Le(hash, &out);
+  std::string out;
+  AppendU32Le(static_cast<uint32_t>(payload.size()), &out);
+  AppendU64Le(lsn, &out);
+  AppendU64Le(Fnv1a64(payload, Fnv1a64(out)), &out);
   out.append(payload);
   return out;
-}
-
-/// 16-hex-digit digest spelling shared by the text formats.
-inline std::string ChecksumHex(uint64_t hash) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
 }
 
 }  // namespace skycube::fuzz

@@ -1,13 +1,12 @@
-// Fuzz target: the WAL payload codecs — DecodeOpPayload (v3 op records,
-// with the legacy-v2 fallback) and DecodeRowPayload (v2 rows) — over
-// arbitrary payload bytes. Record framing (len|lsn|checksum) is the
+// Fuzz target: the WAL payload codec — DecodeOpPayload (v3 op records)
+// over arbitrary payload bytes. Record framing (len|lsn|checksum) is the
 // segment harness's job; this one lands every mutation directly on the
-// payload parsers, the layer a checksummed-but-hostile record reaches.
+// payload parser, the layer a checksummed-but-hostile record reaches.
 //
 // Properties: never crashes or over-allocates; a payload that decodes
-// re-encodes (via the matching encoder) to a payload that decodes to the
-// same op/values; encode ∘ decode is the identity on the wire bytes for
-// v3 records.
+// re-encodes (via the matching encoder) to the exact same bytes, and those
+// decode to the same op/values — encode ∘ decode is the identity on the
+// wire bytes.
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -24,44 +23,22 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   skycube::Result<skycube::WalOpRecord> first =
       skycube::DecodeOpPayload(payload);
-  if (first.ok()) {
-    const skycube::WalOpRecord& a = first.value();
-    std::string encoded;
-    if (a.legacy) {
-      encoded = skycube::EncodeRowPayload(a.values);
-      skycube::Result<std::vector<double>> row =
-          skycube::DecodeRowPayload(encoded);
-      Expect(row.ok() && BitEqual(row.value(), a.values),
-             "legacy row payload must round-trip through the v2 codec");
-    } else if (a.op == skycube::WalOp::kInsert) {
-      encoded = skycube::EncodeInsertPayload(a.values, a.row, a.timestamp_ms);
-    } else {
-      encoded = skycube::EncodeDeletePayload(a.row, a.timestamp_ms);
-    }
-    if (!a.legacy) {
-      // The v3 codecs are canonical: decode ∘ encode must reproduce the
-      // exact wire bytes, not just an equivalent record.
-      Expect(encoded == payload,
-             "v3 op payload encoding must be canonical (byte-identical)");
-    }
-    skycube::Result<skycube::WalOpRecord> second =
-        skycube::DecodeOpPayload(encoded);
-    Expect(second.ok(), "re-encoded op payload must re-decode");
-    const skycube::WalOpRecord& b = second.value();
-    Expect(a.op == b.op && a.timestamp_ms == b.timestamp_ms &&
-               a.legacy == b.legacy && BitEqual(a.values, b.values) &&
-               (a.legacy || a.row == b.row),
-           "op payload round-trip must preserve every field");
-  }
-
-  // The v2 row codec accepts a strict subset of what DecodeOpPayload's
-  // fallback accepts; fuzz it directly too.
-  skycube::Result<std::vector<double>> row =
-      skycube::DecodeRowPayload(payload);
-  if (row.ok()) {
-    const std::string encoded = skycube::EncodeRowPayload(row.value());
-    Expect(encoded == payload,
-           "v2 row payload encoding must be canonical (byte-identical)");
-  }
+  if (!first.ok()) return 0;
+  const skycube::WalOpRecord& a = first.value();
+  const std::string encoded =
+      a.op == skycube::WalOp::kInsert
+          ? skycube::EncodeInsertPayload(a.values, a.row, a.timestamp_ms)
+          : skycube::EncodeDeletePayload(a.row, a.timestamp_ms);
+  // The codec is canonical: decode ∘ encode must reproduce the exact wire
+  // bytes, not just an equivalent record.
+  Expect(encoded == payload,
+         "op payload encoding must be canonical (byte-identical)");
+  skycube::Result<skycube::WalOpRecord> second =
+      skycube::DecodeOpPayload(encoded);
+  Expect(second.ok(), "re-encoded op payload must re-decode");
+  const skycube::WalOpRecord& b = second.value();
+  Expect(a.op == b.op && a.timestamp_ms == b.timestamp_ms &&
+             BitEqual(a.values, b.values) && a.row == b.row,
+         "op payload round-trip must preserve every field");
   return 0;
 }

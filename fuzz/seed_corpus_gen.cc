@@ -162,17 +162,17 @@ void WalSeeds(const std::string& root) {
   const std::string insert =
       EncodeInsertPayload({2.5, -1.0, 7.75}, 9, 1700000001000);
   const std::string tombstone = EncodeDeletePayload(4, 1700000002000);
-  const std::string legacy = EncodeRowPayload({3.0, 1.0, 2.0});
+  const std::string untimed = EncodeInsertPayload({3.0, 1.0, 2.0}, 10, 0);
   WriteSeed(root, "wal_record", "insert-v3", insert);
   WriteSeed(root, "wal_record", "delete-v3", tombstone);
-  WriteSeed(root, "wal_record", "legacy-v2", legacy);
+  WriteSeed(root, "wal_record", "insert-v3-untimed", untimed);
 
   // Segment seeds: mode 0 carries a complete serialized segment; modes
   // 1–2 let the harness build records and use the rest as a torn tail.
   std::string blob = "SKYWAL01";
   blob += fuzz::WalRecordBytes(1, insert);
   blob += fuzz::WalRecordBytes(2, tombstone);
-  blob += fuzz::WalRecordBytes(3, legacy);
+  blob += fuzz::WalRecordBytes(3, untimed);
   std::string raw;
   raw.push_back(0);
   raw += blob;
@@ -185,13 +185,13 @@ void WalSeeds(const std::string& root) {
   std::string split;
   split.push_back(2);
   split.push_back(1);
-  split += legacy;
+  split += untimed;
   WriteSeed(root, "wal_segment", "segment-split", split);
 
   WriteSeed(root, "shipped_records", "batch",
             EncodeShippedRecords({{11, insert}, {12, tombstone}}));
   WriteSeed(root, "shipped_records", "single",
-            EncodeShippedRecords({{1, legacy}}));
+            EncodeShippedRecords({{1, untimed}}));
 }
 
 void CheckpointSeeds(const std::string& root) {

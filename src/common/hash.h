@@ -16,9 +16,10 @@ namespace skycube {
 /// single corrupted byte — truncation aside — is guaranteed to change the
 /// digest; truncation changes the byte count and is caught just as
 /// reliably. Used by the cube file format (v2), the WAL record format and
-/// the checkpoint format.
-inline uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t hash = 1469598103934665603ull;
+/// the checkpoint format. Passing the digest of a prefix as `hash`
+/// continues the stream: Fnv1a64(b, Fnv1a64(a)) == Fnv1a64(a + b).
+inline uint64_t Fnv1a64(std::string_view bytes,
+                        uint64_t hash = 1469598103934665603ull) {
   for (unsigned char c : bytes) {
     hash ^= c;
     hash *= 1099511628211ull;

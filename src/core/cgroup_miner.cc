@@ -61,15 +61,21 @@ std::vector<MaximalCGroup> MineMaximalCGroupsBruteForce(
   const size_t n = seeds.size();
   SKYCUBE_CHECK_MSG(n <= 20, "brute-force miner is exponential; n ≤ 20 only");
   const DimMask universe = data.full_mask();
-  auto co = [&](uint32_t a, uint32_t b) {
-    return data.CoincidenceMask(seeds[a], seeds[b], universe);
-  };
+  // Every pair's coincidence mask, computed once per call.
+  std::vector<DimMask> masks(n * n);
+  for (uint32_t a = 0; a < n; ++a) {
+    for (uint32_t b = 0; b < n; ++b) {
+      masks[a * n + b] = data.CoincidenceMask(seeds[a], seeds[b], universe);
+    }
+  }
+  auto co = [&](uint32_t a, uint32_t b) { return masks[a * n + b]; };
   // For every non-empty subset, compute its shared mask; a subset is a
   // maximal c-group iff its shared mask is non-empty and both closure
   // directions are fixed points. Deduplicate via (closure of the subset).
   std::map<std::vector<uint32_t>, DimMask> closed;
+  std::vector<uint32_t> subset;
   for (uint64_t bits = 1; bits < (uint64_t{1} << n); ++bits) {
-    std::vector<uint32_t> subset;
+    subset.clear();
     for (uint32_t i = 0; i < n; ++i) {
       if ((bits >> i) & 1) subset.push_back(i);
     }

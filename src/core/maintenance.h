@@ -37,8 +37,8 @@
 //
 // Rows carry an optional ingest timestamp; ExpireOlderThan() batch-deletes
 // every live row older than a cutoff (the sliding-window pass). Timestamp 0
-// means "no timestamp" and never expires — legacy v2 WAL records and
-// bootstrap rows replay with 0.
+// means "no timestamp" and never expires — bootstrap rows and inserts
+// logged without a timestamp replay with 0.
 #ifndef SKYCUBE_CORE_MAINTENANCE_H_
 #define SKYCUBE_CORE_MAINTENANCE_H_
 

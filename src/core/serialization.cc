@@ -15,6 +15,8 @@ namespace skycube {
 
 namespace {
 
+constexpr std::string_view kCubeHeader = "skycube-cube v2";
+
 std::string ChecksumHex(uint64_t hash) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -22,8 +24,8 @@ std::string ChecksumHex(uint64_t hash) {
   return buffer;
 }
 
-/// Parses everything after the header/checksum preamble: the metadata line,
-/// the optional names line, and the group lines. Shared by v1 and v2.
+/// Parses the payload behind the envelope: the metadata line, the optional
+/// names line, and the group lines.
 Result<SerializedCube> ParseCubeBody(std::istream& is) {
   SerializedCube cube;
   size_t num_groups = 0;
@@ -109,6 +111,36 @@ Result<SerializedCube> ParseCubeBody(std::istream& is) {
 
 }  // namespace
 
+std::string WrapChecksummed(std::string_view header, std::string_view payload) {
+  std::string text(header);
+  text += "\nchecksum ";
+  text += ChecksumHex(Fnv1a64(payload));
+  text += '\n';
+  text.append(payload);
+  return text;
+}
+
+Result<std::string_view> UnwrapChecksummed(std::string_view text,
+                                           std::string_view header) {
+  const std::string name(header);
+  if (!text.starts_with(name + "\n")) {
+    return Status::InvalidArgument("bad header: expected '" + name + "'");
+  }
+  // "checksum ", 16 hex digits and a newline, then the payload.
+  constexpr size_t kLineBytes = 9 + 16 + 1;
+  const std::string_view line = text.substr(header.size() + 1, kLineBytes);
+  if (line.size() != kLineBytes || !line.starts_with("checksum ") ||
+      line.back() != '\n') {
+    return Status::Internal("corrupt " + name + ": malformed checksum line");
+  }
+  const std::string_view payload = text.substr(header.size() + 1 + kLineBytes);
+  if (ChecksumHex(Fnv1a64(payload)) != line.substr(9, 16)) {
+    return Status::Internal("corrupt " + name +
+                            ": checksum mismatch (truncated or bit-flipped)");
+  }
+  return payload;
+}
+
 std::string SerializeCube(int num_dims, size_t num_objects,
                           const SkylineGroupSet& groups,
                           const std::vector<std::string>& dim_names) {
@@ -136,53 +168,17 @@ std::string SerializeCube(int num_dims, size_t num_objects,
     for (double value : group.projection) os << ' ' << value;
     os << '\n';
   }
-  const std::string payload = os.str();
-  return "skycube-cube v2\nchecksum " + ChecksumHex(Fnv1a64(payload)) + "\n" +
-         payload;
+  return WrapChecksummed(kCubeHeader, os.str());
 }
 
 Result<SerializedCube> DeserializeCube(const std::string& text) {
   if (SKYCUBE_FAULT_POINT("serialization.load")) {
     return Status::Internal("fault injection: serialization.load");
   }
-  std::istringstream is(text);
-  std::string word;
-  is >> word;
-  std::string version;
-  is >> version;
-  if (word != "skycube-cube" || (version != "v1" && version != "v2")) {
-    return Status::InvalidArgument(
-        "bad header: expected 'skycube-cube v1' or 'skycube-cube v2'");
-  }
-  if (version == "v2") {
-    // v2 prepends "checksum <fnv1a64-hex>" over the remaining payload.
-    std::string k_checksum;
-    std::string digest;
-    if (!(is >> k_checksum >> digest) || k_checksum != "checksum" ||
-        digest.size() != 16) {
-      return Status::Internal("corrupt cube file: missing checksum line");
-    }
-    // The payload starts after the checksum line's newline; everything from
-    // there was hashed at serialization time.
-    const std::string marker = "checksum " + digest;
-    const size_t marker_pos = text.find(marker);
-    if (marker_pos == std::string::npos) {
-      return Status::Internal("corrupt cube file: malformed checksum line");
-    }
-    const size_t payload_pos = text.find('\n', marker_pos);
-    if (payload_pos == std::string::npos) {
-      return Status::Internal("corrupt cube file: truncated after checksum");
-    }
-    const std::string_view payload =
-        std::string_view(text).substr(payload_pos + 1);
-    if (ChecksumHex(Fnv1a64(payload)) != digest) {
-      return Status::Internal(
-          "corrupt cube file: checksum mismatch (truncated or bit-flipped)");
-    }
-  }
-  Result<SerializedCube> cube = ParseCubeBody(is);
-  if (!cube.ok()) return cube.status();
-  return cube;
+  Result<std::string_view> payload = UnwrapChecksummed(text, kCubeHeader);
+  if (!payload.ok()) return payload.status();
+  std::istringstream is{std::string(payload.value())};
+  return ParseCubeBody(is);
 }
 
 Status SaveCubeToFile(const std::string& path, int num_dims,

@@ -10,19 +10,34 @@
 //   <member_count> <members...> <max_subspace> <decisive_count>
 //       <decisives...> <projection...>        (one line per group)
 // Masks are decimal DimMask values; projections use max-precision doubles.
-// Legacy v1 files (no checksum line) are still readable; new files are
-// always written as v2. A failed checksum (truncation, bit flips) loads as
-// StatusCode::kInternal; structural violations as kInvalidArgument.
+// v2 is the only version written or read: any other header, the checksum-
+// less v1 included, is kInvalidArgument. A failed checksum (truncation, bit
+// flips) loads as StatusCode::kInternal; structural violations as
+// kInvalidArgument. The header and checksum lines are the checksummed-text
+// envelope below, which the checkpoint file (storage/checkpointer.h) uses
+// too.
 #ifndef SKYCUBE_CORE_SERIALIZATION_H_
 #define SKYCUBE_CORE_SERIALIZATION_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "core/skyline_group.h"
 
 namespace skycube {
+
+/// The checksummed-text envelope: `header`, a newline, "checksum " and the
+/// payload's 16-hex-digit FNV-1a 64 digest, a newline, then `payload`.
+std::string WrapChecksummed(std::string_view header, std::string_view payload);
+
+/// Checks the envelope and returns the payload it covers, a view into
+/// `text`. A first line other than `header` is kInvalidArgument; a
+/// malformed checksum line or a digest that does not match the payload is
+/// kInternal.
+[[nodiscard]] Result<std::string_view> UnwrapChecksummed(
+    std::string_view text, std::string_view header);
 
 /// A deserialized cube with its space metadata.
 struct SerializedCube {

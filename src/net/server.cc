@@ -117,9 +117,29 @@ void NetServer::Run(const std::function<void()>& on_tick, int tick_millis) {
   // refused by the kernel instead of rotting in the accept backlog.
   if (listen_fd_ >= 0) {
     loop_.Remove(listen_fd_);
+    // A handshake the kernel completed after the loop's last accept sits
+    // in the backlog, and closing the listener would reset it. Refuse each
+    // one the way a draining server does, so its peer reads a goaway.
+    for (;;) {
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0) {
+        if (errno == EINTR) continue;
+        break;  // EAGAIN: the backlog is empty
+      }
+      RefuseDraining(fd);
+    }
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+}
+
+void NetServer::RefuseDraining(int fd) {
+  refused_draining_.fetch_add(1, std::memory_order_relaxed);
+  const std::string frame = EncodeGoAway(StatusCode::kUnavailable,
+                                         "server is draining for shutdown");
+  (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+  CloseRefused(fd);
 }
 
 void NetServer::BeginDrain() {
@@ -170,11 +190,7 @@ void NetServer::OnListenReadable() {
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (draining_.load(std::memory_order_acquire)) {
-      refused_draining_.fetch_add(1, std::memory_order_relaxed);
-      const std::string frame = EncodeGoAway(
-          StatusCode::kUnavailable, "server is draining for shutdown");
-      (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-      CloseRefused(fd);
+      RefuseDraining(fd);
       continue;
     }
     if (options_.max_connections > 0 &&

@@ -150,6 +150,8 @@ class NetServer {
 
   // Everything below runs on the loop thread.
   void OnListenReadable();
+  /// Sends `fd` the kUnavailable goaway and closes it (CloseRefused).
+  void RefuseDraining(int fd);
   void OnConnectionEvent(uint64_t conn_id, uint32_t events);
   /// Decodes and routes every completed frame the decoder holds (up to the
   /// pipeline cap), then dispatches the collected query batch.

@@ -11,7 +11,7 @@
 // inserts and deletes under the service's ingest mutex, logs one delete
 // record per expiring row (durable handlers), tombstones them in one
 // batch, and publishes the post-expiry snapshot. Rows with timestamp 0
-// (bootstrap / legacy-WAL rows) never expire.
+// (bootstrap rows, and inserts made without one) never expire.
 #ifndef SKYCUBE_SERVICE_WINDOW_EXPIRY_H_
 #define SKYCUBE_SERVICE_WINDOW_EXPIRY_H_
 

@@ -1,21 +1,17 @@
 #include "storage/checkpointer.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/hash.h"
 #include "core/serialization.h"
+#include "storage/file_io.h"
 
 namespace skycube {
 
@@ -28,25 +24,7 @@ std::string CheckpointFileName(uint64_t lsn) {
 
 namespace {
 
-std::string CheckpointName(uint64_t lsn) { return CheckpointFileName(lsn); }
-
-std::string ChecksumHex(uint64_t hash) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(hash));
-  return buffer;
-}
-
-Status SyncDir(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) {
-    return Status::Internal("cannot open dir for fsync: " + dir);
-  }
-  const int rc = ::fsync(dirfd);
-  ::close(dirfd);
-  if (rc != 0) return Status::Internal("fsync of dir failed: " + dir);
-  return Status::Ok();
-}
+constexpr std::string_view kCheckpointHeader = "skycube-checkpoint v2";
 
 /// Serializes the checkpoint payload (everything the checksum covers).
 std::string SerializeCheckpointPayload(uint64_t lsn, const Dataset& data,
@@ -108,19 +86,9 @@ std::vector<uint64_t> ListCheckpoints(const std::string& dir) {
 }
 
 Result<CheckpointData> LoadCheckpoint(const std::string& dir, uint64_t lsn) {
-  const std::string path = dir + "/" + CheckpointName(lsn);
-  std::string text;
-  {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) return Status::NotFound("cannot open: " + path);
-    char buffer[1 << 16];
-    size_t n;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      text.append(buffer, n);
-    }
-    std::fclose(file);
-  }
-  Result<CheckpointData> checkpoint = ParseCheckpoint(text);
+  Result<std::string> text = ReadFileBytes(dir + "/" + CheckpointFileName(lsn));
+  if (!text.ok()) return text.status();
+  Result<CheckpointData> checkpoint = ParseCheckpoint(text.value());
   if (!checkpoint.ok()) return checkpoint.status();
   if (checkpoint.value().lsn != lsn) {
     return Status::InvalidArgument("checkpoint lsn does not match its name");
@@ -129,33 +97,10 @@ Result<CheckpointData> LoadCheckpoint(const std::string& dir, uint64_t lsn) {
 }
 
 Result<CheckpointData> ParseCheckpoint(const std::string& text) {
-  std::istringstream is(text);
-  std::string word, version;
-  is >> word >> version;
-  if (word != "skycube-checkpoint" || (version != "v1" && version != "v2")) {
-    return Status::InvalidArgument("bad checkpoint header");
-  }
-  const bool has_liveness = version == "v2";
-  std::string k_checksum, digest;
-  if (!(is >> k_checksum >> digest) || k_checksum != "checksum" ||
-      digest.size() != 16) {
-    return Status::Internal("corrupt checkpoint: missing checksum line");
-  }
-  const std::string marker = "checksum " + digest;
-  const size_t marker_pos = text.find(marker);
-  if (marker_pos == std::string::npos) {
-    return Status::Internal("corrupt checkpoint: malformed checksum line");
-  }
-  const size_t payload_pos = text.find('\n', marker_pos);
-  if (payload_pos == std::string::npos) {
-    return Status::Internal("corrupt checkpoint: truncated after checksum");
-  }
-  const std::string_view payload =
-      std::string_view(text).substr(payload_pos + 1);
-  if (ChecksumHex(Fnv1a64(payload)) != digest) {
-    return Status::Internal(
-        "corrupt checkpoint: checksum mismatch (truncated or bit-flipped)");
-  }
+  Result<std::string_view> payload =
+      UnwrapChecksummed(text, kCheckpointHeader);
+  if (!payload.ok()) return payload.status();
+  std::istringstream is{std::string(payload.value())};
 
   CheckpointData checkpoint;
   std::string k_lsn, k_dims, k_rows, k_names;
@@ -192,26 +137,24 @@ Result<CheckpointData> ParseCheckpoint(const std::string& text) {
   // they are equal, but the allocation must never key off a wire integer.
   checkpoint.live.assign(data.num_objects(), 1);
   checkpoint.timestamps.assign(data.num_objects(), 0);
-  if (has_liveness) {
-    std::string k_dead, k_stamps;
-    size_t num_dead = 0;
-    if (!(is >> k_dead >> num_dead) || k_dead != "dead" || num_dead > rows) {
-      return Status::InvalidArgument("bad checkpoint dead line");
+  std::string k_dead, k_stamps;
+  size_t num_dead = 0;
+  if (!(is >> k_dead >> num_dead) || k_dead != "dead" || num_dead > rows) {
+    return Status::InvalidArgument("bad checkpoint dead line");
+  }
+  for (size_t i = 0; i < num_dead; ++i) {
+    ObjectId id = 0;
+    if (!(is >> id) || id >= rows) {
+      return Status::InvalidArgument("bad checkpoint dead id");
     }
-    for (size_t i = 0; i < num_dead; ++i) {
-      ObjectId id = 0;
-      if (!(is >> id) || id >= rows) {
-        return Status::InvalidArgument("bad checkpoint dead id");
-      }
-      checkpoint.live[id] = 0;
-    }
-    if (!(is >> k_stamps) || k_stamps != "stamps") {
-      return Status::InvalidArgument("bad checkpoint stamps line");
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (!(is >> checkpoint.timestamps[i])) {
-        return Status::InvalidArgument("truncated checkpoint stamps line");
-      }
+    checkpoint.live[id] = 0;
+  }
+  if (!(is >> k_stamps) || k_stamps != "stamps") {
+    return Status::InvalidArgument("bad checkpoint stamps line");
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    if (!(is >> checkpoint.timestamps[i])) {
+      return Status::InvalidArgument("truncated checkpoint stamps line");
     }
   }
   // The rest of the stream is the embedded cube file.
@@ -221,7 +164,7 @@ Result<CheckpointData> ParseCheckpoint(const std::string& text) {
     if (pos == std::streampos(-1)) {
       return Status::InvalidArgument("checkpoint missing embedded cube");
     }
-    cube_text = text.substr(static_cast<size_t>(pos));
+    cube_text = payload.value().substr(static_cast<size_t>(pos));
     const size_t start = cube_text.find("skycube-cube");
     if (start == std::string::npos) {
       return Status::InvalidArgument("checkpoint missing embedded cube");
@@ -247,51 +190,13 @@ Status Checkpointer::Write(uint64_t lsn, const Dataset& data,
                            const SkylineGroupSet& groups,
                            const std::vector<uint8_t>& live,
                            const std::vector<uint64_t>& timestamps) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) return Status::Internal("cannot create checkpoint dir: " + dir_);
-
   const std::string payload =
       SerializeCheckpointPayload(lsn, data, groups, live, timestamps);
-  const std::string text = "skycube-checkpoint v2\nchecksum " +
-                           ChecksumHex(Fnv1a64(payload)) + "\n" + payload;
-  const std::string final_path = dir_ + "/" + CheckpointName(lsn);
-  const std::string tmp_path = final_path + ".tmp";
-
-  // Write-temp + fsync + rename + dir fsync: the checkpoint becomes
-  // visible atomically or not at all.
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::Internal("cannot create checkpoint temp: " + tmp_path);
+  const std::string text = WrapChecksummed(kCheckpointHeader, payload);
+  if (Status wrote = WriteFileAtomically(dir_, CheckpointFileName(lsn), text);
+      !wrote.ok()) {
+    return wrote;
   }
-  const char* bytes = text.data();
-  size_t remaining = text.size();
-  while (remaining > 0) {
-    const ssize_t n = ::write(fd, bytes, remaining);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::Internal("checkpoint write failed: " + tmp_path);
-    }
-    bytes += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  // Crash-test hook: die mid-write — the visible state must still be the
-  // previous checkpoint set (the .tmp is ignored on recovery).
-  if (SKYCUBE_FAULT_POINT("checkpoint.crash_mid_write")) std::_Exit(42);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return Status::Internal("checkpoint fsync failed: " + tmp_path);
-  }
-  ::close(fd);
-  // Crash-test hook: die between fsync and rename — same invariant.
-  if (SKYCUBE_FAULT_POINT("checkpoint.crash_before_rename")) std::_Exit(42);
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    return Status::Internal("checkpoint rename failed: " + final_path);
-  }
-  if (Status sync = SyncDir(dir_); !sync.ok()) return sync;
   // Crash-test hook: die after the rename is durable but before retention
   // and WAL truncation — recovery must prefer the new checkpoint and
   // tolerate the stale WAL prefix / older checkpoints still existing.
@@ -299,15 +204,16 @@ Status Checkpointer::Write(uint64_t lsn, const Dataset& data,
   ++checkpoints_written_;
 
   // Retention: keep the newest `keep_`, drop older ones and stray temps.
+  std::error_code ec;
   std::vector<uint64_t> lsns = ListCheckpoints(dir_);
   while (lsns.size() > keep_) {
-    std::filesystem::remove(dir_ + "/" + CheckpointName(lsns.front()), ec);
+    std::filesystem::remove(dir_ + "/" + CheckpointFileName(lsns.front()), ec);
     lsns.erase(lsns.begin());
   }
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() > 4 && name.ends_with(".tmp") &&
-        name != CheckpointName(lsn) + ".tmp") {
+        name != CheckpointFileName(lsn) + ".tmp") {
       std::error_code remove_ec;
       std::filesystem::remove(entry.path(), remove_ec);
     }

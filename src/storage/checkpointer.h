@@ -1,7 +1,8 @@
 // Atomic, checksummed checkpoints of the ingest state: the full dataset
 // plus its compressed skyline cube, tagged with the WAL LSN they cover.
 //
-// File format (text, version-tagged, consistent with core/serialization.h):
+// File format (text, in the checksummed-text envelope of
+// core/serialization.h):
 //
 //   skycube-checkpoint v2
 //   checksum <fnv1a64-hex>            (over everything below)
@@ -13,20 +14,20 @@
 //   stamps <n per-row timestamps, ms> (0 = none / never expires)
 //   skycube-cube v2 ...               (embedded cube, itself checksummed)
 //
-// v1 checkpoints (no dead/stamps lines, from before deletes existed) still
-// load: every row is live with timestamp 0.
+// v2 is the only version written or read; any other header, the v1 files
+// from before deletes existed included, is kInvalidArgument.
 //
 // A checkpoint at LSN L contains the bootstrap rows plus the first L WAL
 // ops; recovery loads it and replays only records with lsn > L. The
 // embedded cube covers the *live* rows only — tombstoned ids appear in no
 // group, exactly as the maintainer serves them.
 //
-// Crash consistency: checkpoints are written to `<name>.tmp`, fsync'd,
-// renamed into place (`checkpoint-<16hex-lsn>.ckpt`), and the directory is
-// fsync'd — a crash at any point leaves either the old set of checkpoints
-// or the old set plus the complete new one, never a half-written visible
-// file. Stray .tmp files from crashed writers are ignored by List and
-// removed by the next successful Write.
+// Crash consistency: checkpoints are written with WriteFileAtomically
+// (storage/file_io.h) as `checkpoint-<16hex-lsn>.ckpt` — a crash at any
+// point leaves either the old set of checkpoints or the old set plus the
+// complete new one, never a half-written visible file. Stray .tmp files
+// from crashed writers are ignored by List and removed by the next
+// successful Write.
 //
 // Retention keeps the newest `keep` checkpoints. The WAL may only be
 // truncated through the *oldest retained* checkpoint's LSN — that way a
@@ -50,9 +51,9 @@ struct CheckpointData {
   uint64_t lsn = 0;
   Dataset data{1};
   SkylineGroupSet groups;
-  /// Per-row liveness (size == data.num_objects(); all 1 for v1 files).
+  /// Per-row liveness (size == data.num_objects()).
   std::vector<uint8_t> live;
-  /// Per-row ingest timestamps in ms (all 0 for v1 files).
+  /// Per-row ingest timestamps in ms (0 = none).
   std::vector<uint64_t> timestamps;
 };
 

@@ -146,45 +146,23 @@ Result<InsertHandler::Applied> DurableIngest::ApplyReplicated(
         "replicated record out of order: got LSN " + std::to_string(lsn) +
         ", expected " + std::to_string(wal_->next_lsn()));
   }
-  // Decode before logging: a payload this node cannot apply must not
-  // enter its WAL (the log would no longer replay cleanly).
-  Result<WalOpRecord> decoded = DecodeOpPayload(payload);
-  if (!decoded.ok()) return decoded.status();
-  const WalOpRecord& op = decoded.value();
-  if (op.op == WalOp::kInsert) {
-    if (static_cast<int>(op.values.size()) !=
-        maintainer_->data().num_dims()) {
-      return Status::InvalidArgument(
-          "replicated insert width does not match the cube");
-    }
-    // v3 records carry the row id the primary assigned; it must equal the
-    // local append position or the streams have diverged. Legacy v2
-    // records predate row ids and always append (recovery semantics).
-    if (!op.legacy &&
-        op.row != static_cast<uint32_t>(maintainer_->data().num_objects())) {
-      return Status::InvalidArgument(
-          "replicated insert row id diverges from the local dataset");
-    }
-  }
-  Result<uint64_t> appended = wal_->Append(payload);
-  if (!appended.ok()) return appended.status();
+  // Checked before it is logged: a payload this node cannot apply must
+  // not enter its WAL (the log would no longer replay cleanly). The lambda
+  // runs under mu_, which the thread-safety analysis cannot see into.
+  WriteAheadLog* wal = wal_.get();
+  Result<ReplayedOp> replayed = ReplayOp(payload, maintainer_.get(), [&] {
+    return wal->Append(payload).status();
+  });
+  if (!replayed.ok()) return replayed.status();
 
   Applied applied;
   applied.lsn = lsn;
-  if (op.op == WalOp::kInsert) {
-    applied.path = maintainer_->Insert(op.values, op.timestamp_ms);
+  applied.path = replayed.value().insert_path;
+  applied.delete_path = replayed.value().delete_path;
+  if (replayed.value().op == WalOp::kInsert ||
+      applied.delete_path != DeletePath::kAlreadyDead) {
     applied.cube = std::make_shared<const CompressedSkylineCube>(
         maintainer_->MakeCube());
-  } else {
-    // Same tolerance as recovery replay: a delete whose target is already
-    // dead is a counted no-op, never an error.
-    if (maintainer_->IsLive(op.row)) {
-      applied.delete_path = maintainer_->Remove(op.row);
-      applied.cube = std::make_shared<const CompressedSkylineCube>(
-          maintainer_->MakeCube());
-    } else {
-      applied.delete_path = DeletePath::kAlreadyDead;
-    }
   }
   applied.num_objects = maintainer_->data().num_objects();
   applied.num_live = maintainer_->num_live();

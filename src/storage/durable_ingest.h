@@ -103,10 +103,10 @@ class DurableIngest : public InsertHandler {
   /// Replica apply path (storage/replication.h): appends the shipped
   /// payload byte-verbatim at exactly `lsn` — which must equal the local
   /// WAL's next LSN, the stream is contiguous by construction — then
-  /// applies the decoded op through the maintainer with the same semantics
-  /// recovery replay uses (v3 inserts must land at their recorded row id;
-  /// legacy inserts append; already-dead deletes are no-ops). The byte
-  /// identity makes the follower's log prefix equal the primary's.
+  /// applies it through ReplayOp (storage/recovery.h), the rules recovery
+  /// replay uses: inserts must land at their recorded row id, and
+  /// already-dead deletes are no-ops. The byte identity makes the
+  /// follower's log prefix equal the primary's.
   Result<Applied> ApplyReplicated(uint64_t lsn, std::string_view payload)
       EXCLUDES(mu_);
 

@@ -6,43 +6,42 @@
 
 #include "common/timer.h"
 #include "storage/checkpointer.h"
-#include "storage/wal.h"
 
 namespace skycube {
 
-namespace {
-
-/// Applies one decoded WAL op to the maintainer. Returns false on format
-/// drift (wrong width, or a v3 insert whose recorded id disagrees with the
-/// dataset) — the caller stops the replay exactly as it would at a damaged
-/// record.
-bool ApplyOp(const WalOpRecord& op, IncrementalCubeMaintainer* maintainer,
-             RecoveryStats* stats) {
+Result<ReplayedOp> ReplayOp(std::string_view payload,
+                            IncrementalCubeMaintainer* maintainer,
+                            const std::function<Status()>& log) {
+  Result<WalOpRecord> decoded = DecodeOpPayload(payload);
+  if (!decoded.ok()) return decoded.status();
+  const WalOpRecord& op = decoded.value();
   if (op.op == WalOp::kInsert) {
     if (static_cast<int>(op.values.size()) !=
         maintainer->data().num_dims()) {
-      return false;
+      return Status::InvalidArgument(
+          "logged insert width does not match the cube");
     }
-    if (!op.legacy &&
-        op.row != static_cast<uint32_t>(maintainer->data().num_objects())) {
-      return false;
+    if (op.row != static_cast<uint32_t>(maintainer->data().num_objects())) {
+      return Status::InvalidArgument(
+          "logged insert row id diverges from the dataset");
     }
-    maintainer->Insert(op.values, op.timestamp_ms);
-    ++stats->wal_inserts_replayed;
-    return true;
   }
-  // A delete of a never-acked or already-dead row is a no-op by design: a
-  // durable delete record outlives its target only when the target insert
-  // never became durable (or an earlier delete/expiry already won).
-  if (maintainer->Remove(op.row) == DeletePath::kAlreadyDead) {
-    ++stats->wal_deletes_ignored;
+  if (log) {
+    if (Status logged = log(); !logged.ok()) return logged;
+  }
+  ReplayedOp replayed;
+  replayed.op = op.op;
+  if (op.op == WalOp::kInsert) {
+    replayed.insert_path = maintainer->Insert(op.values, op.timestamp_ms);
   } else {
-    ++stats->wal_deletes_replayed;
+    // A delete of a never-acked or already-dead row is a no-op by design:
+    // a durable delete record outlives its target only when the target
+    // insert never became durable (or an earlier delete/expiry already
+    // won).
+    replayed.delete_path = maintainer->Remove(op.row);
   }
-  return true;
+  return replayed;
 }
-
-}  // namespace
 
 bool DirHasDurableState(const std::string& dir) {
   return !ListCheckpoints(dir).empty();
@@ -106,7 +105,7 @@ Result<RecoveredState> RecoverFromDir(const std::string& dir) {
         if (!op.ok()) break;
         if (op.value().op == WalOp::kInsert) {
           dims = static_cast<int>(op.value().values.size());
-          base_rows = op.value().legacy ? 0 : op.value().row;
+          base_rows = op.value().row;
           break;
         }
       }
@@ -136,10 +135,18 @@ Result<RecoveredState> RecoverFromDir(const std::string& dir) {
   stats.wal_bytes_discarded = wal.value().discarded_bytes;
   uint64_t last_applied = stats.checkpoint_lsn;
   for (const WalRecord& record : wal.value().records) {
-    Result<WalOpRecord> op = DecodeOpPayload(record.payload);
-    if (!op.ok() || !ApplyOp(op.value(), state.maintainer.get(), &stats)) {
+    Result<ReplayedOp> replayed =
+        ReplayOp(record.payload, state.maintainer.get());
+    if (!replayed.ok()) {
       stats.wal_suffix_discarded = true;
       break;
+    }
+    if (replayed.value().op == WalOp::kInsert) {
+      ++stats.wal_inserts_replayed;
+    } else if (replayed.value().delete_path == DeletePath::kAlreadyDead) {
+      ++stats.wal_deletes_ignored;
+    } else {
+      ++stats.wal_deletes_replayed;
     }
     ++stats.wal_records_replayed;
     last_applied = record.lsn;

@@ -10,13 +10,14 @@
 //      rows*, and cross-check that the rebuilt groups exactly equal the
 //      checkpointed groups — a checkpoint that fails any of these is
 //      *rejected*, never partially applied.
-//   2. Replay WAL records with lsn > checkpoint_lsn in order: inserts
-//      through Insert() (with their timestamps), deletes through Remove().
-//      A delete whose target was never acked — or already dead — is a
-//      counted no-op, not an error: a durable delete record can outlive
-//      its target only if the target never became durable. The scan stops
-//      at the first damaged record; the damaged suffix is reported, not
-//      loaded.
+//   2. Replay WAL records with lsn > checkpoint_lsn in order through
+//      ReplayOp: inserts through Insert() (with their timestamps), deletes
+//      through Remove(). A delete whose target was never acked — or
+//      already dead — is a counted no-op, not an error: a durable delete
+//      record can outlive its target only if the target never became
+//      durable. The scan stops at the first damaged record, and the replay
+//      at the first record that does not decode or apply; the rest is
+//      reported, not loaded.
 //   3. When *every* checkpoint is damaged but the WAL still reaches back
 //      to LSN 1, fall back to a WAL-only rebuild: replay the entire log
 //      over an empty base. Rows that existed before the first WAL record
@@ -32,11 +33,14 @@
 #define SKYCUBE_STORAGE_RECOVERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/maintenance.h"
+#include "storage/wal.h"
 
 namespace skycube {
 
@@ -75,6 +79,25 @@ struct RecoveredState {
   std::unique_ptr<IncrementalCubeMaintainer> maintainer;
   RecoveryStats stats;
 };
+
+/// What replaying one logged op did.
+struct ReplayedOp {
+  WalOp op = WalOp::kInsert;
+  InsertPath insert_path = InsertPath::kNoOp;         // inserts
+  DeletePath delete_path = DeletePath::kAlreadyDead;  // deletes; dead = no-op
+};
+
+/// The replay rules for one logged op, shared by recovery and the replica
+/// apply path (DurableIngest::ApplyReplicated): decode `payload`, check
+/// it, and apply it to `maintainer`. A payload that does not decode, or an
+/// insert whose width differs from the cube's or whose logged row id is
+/// not the next one, applies nothing and is kInvalidArgument. A delete
+/// whose target is dead or was never acked is a no-op. `log`, when set,
+/// runs after the checks and before the apply, and its failure also
+/// applies nothing: the replica appends the record to its own WAL there.
+[[nodiscard]] Result<ReplayedOp> ReplayOp(
+    std::string_view payload, IncrementalCubeMaintainer* maintainer,
+    const std::function<Status()>& log = nullptr);
 
 /// True iff `dir` holds at least one complete checkpoint — the signal that
 /// a data directory carries state to recover rather than bootstrap.

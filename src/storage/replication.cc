@@ -1,90 +1,14 @@
 #include "storage/replication.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 
 #include "storage/checkpointer.h"
 #include "storage/durable_ingest.h"
+#include "storage/file_io.h"
 
 namespace skycube {
-
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::NotFound("cannot open: " + path);
-  std::string bytes;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::Internal("read failed: " + path);
-    }
-    if (n == 0) break;
-    bytes.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return bytes;
-}
-
-Status WriteAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("write failed: ") +
-                              std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-Status SyncDir(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) {
-    return Status::Internal("cannot open dir for fsync: " + dir);
-  }
-  const int rc = ::fsync(dirfd);
-  ::close(dirfd);
-  if (rc != 0) return Status::Internal("fsync of dir failed: " + dir);
-  return Status::Ok();
-}
-
-}  // namespace
 
 std::string EncodeShippedRecords(const std::vector<WalRecord>& records) {
   std::string out;
@@ -262,36 +186,16 @@ WalShipperStats WalShipper::stats() const {
 
 Status InstallSnapshot(const std::string& dir, uint64_t lsn,
                        std::string_view bytes) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return Status::Internal("cannot create data dir: " + dir);
-  const std::string final_path = dir + "/" + CheckpointFileName(lsn);
-  const std::string tmp_path = final_path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::Internal("cannot create snapshot file: " + tmp_path);
-  }
-  Status wrote = WriteAll(fd, bytes.data(), bytes.size());
-  if (wrote.ok() && ::fsync(fd) != 0) {
-    wrote = Status::Internal("fsync failed: " + tmp_path);
-  }
-  ::close(fd);
-  if (!wrote.ok()) {
-    std::filesystem::remove(tmp_path, ec);
+  const std::string name = CheckpointFileName(lsn);
+  if (Status wrote = WriteFileAtomically(dir, name, bytes); !wrote.ok()) {
     return wrote;
   }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::filesystem::remove(tmp_path, ec);
-    return Status::Internal("cannot rename snapshot into place: " +
-                            final_path);
-  }
-  if (Status synced = SyncDir(dir); !synced.ok()) return synced;
   // The file is self-validating; prove it loads before anyone recovers
   // from it, so a corrupted ship fails here instead of at serve time.
   if (Result<CheckpointData> loaded = LoadCheckpoint(dir, lsn);
       !loaded.ok()) {
-    std::filesystem::remove(final_path, ec);
+    std::error_code ec;
+    std::filesystem::remove(dir + "/" + name, ec);
     return Status::Internal("shipped snapshot failed validation: " +
                             loaded.status().message());
   }

@@ -10,10 +10,11 @@
 // the acked horizon so the ingest path can fence mutation acks on it
 // (semi-synchronous: the fence degrades to async after a bounded wait).
 //
-// Record payloads are applied byte-verbatim — the follower's WAL holds the
-// same bytes at the same LSNs as the primary's, legacy v2 records
-// included, so a promoted replica's recovered state is identical to what
-// local recovery of the primary's log prefix would produce.
+// Record payloads are applied byte-verbatim, through the same replay rules
+// as recovery (ReplayOp, storage/recovery.h) — the follower's WAL holds the
+// same bytes at the same LSNs as the primary's, so a promoted replica's
+// recovered state is identical to what local recovery of the primary's log
+// prefix would produce.
 //
 // Promotion fences on a *floor*: the router's kReplPromote carries the
 // applied LSN it last observed on the chosen replica, and the replica

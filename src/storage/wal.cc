@@ -6,15 +6,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/hash.h"
+#include "storage/file_io.h"
 
 namespace skycube {
 
@@ -25,46 +26,63 @@ constexpr size_t kHeaderBytes = 4 + 8 + 8;  // len, lsn, checksum
 /// Sanity bound: a corrupt length field must not drive a giant read.
 constexpr uint32_t kMaxPayloadBytes = 16u << 20;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+/// The record checksum: FNV-1a over the len and lsn fields, continued over
+/// the payload, so a flip anywhere in the record (header included) is
+/// caught.
+uint64_t RecordChecksum(std::string_view len_and_lsn,
+                        std::string_view payload) {
+  return Fnv1a64(payload, Fnv1a64(len_and_lsn));
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-/// Serializes one record; checksum covers the len and lsn fields plus the
-/// payload, so a flip anywhere in the record (header included) is caught.
+/// Serializes one record.
 std::string EncodeRecord(uint64_t lsn, std::string_view payload) {
-  std::string prefix;
-  PutU32(&prefix, static_cast<uint32_t>(payload.size()));
-  PutU64(&prefix, lsn);
-  uint64_t checksum = Fnv1a64(prefix);
-  // Continue the FNV stream over the payload without concatenating.
-  for (unsigned char c : payload) {
-    checksum ^= c;
-    checksum *= 1099511628211ull;
-  }
-  std::string record = prefix;
-  PutU64(&record, checksum);
+  std::string record;
+  PutU32(&record, static_cast<uint32_t>(payload.size()));
+  PutU64(&record, lsn);
+  PutU64(&record, RecordChecksum(record, payload));
   record.append(payload);
   return record;
+}
+
+bool HasMagic(std::string_view bytes) {
+  return bytes.size() >= sizeof(kSegmentMagic) &&
+         std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0;
+}
+
+/// One record frame read at a byte offset of a segment.
+struct Frame {
+  /// False when fewer than a header's bytes remain (a torn header); the
+  /// fields below are then unset.
+  bool has_header = false;
+  /// The header's fields, untrusted unless `valid`.
+  uint32_t payload_len = 0;
+  uint64_t lsn = 0;
+  /// The length is in bounds, fits the segment, and the checksum matches.
+  bool valid = false;
+  std::string_view payload;  // set iff valid
+};
+
+/// The one parser of the record framing (len | lsn | checksum | payload).
+Frame ParseFrame(std::string_view bytes, size_t offset) {
+  Frame frame;
+  if (bytes.size() - offset < kHeaderBytes) return frame;
+  frame.has_header = true;
+  const char* header = bytes.data() + offset;
+  frame.payload_len = GetU32(header);
+  frame.lsn = GetU64(header + 4);
+  if (frame.payload_len > kMaxPayloadBytes ||
+      bytes.size() - offset - kHeaderBytes < frame.payload_len) {
+    return frame;  // a corrupt or torn length: nothing after it is framed
+  }
+  const std::string_view payload =
+      bytes.substr(offset + kHeaderBytes, frame.payload_len);
+  if (RecordChecksum(std::string_view(header, 12), payload) !=
+      GetU64(header + 12)) {
+    return frame;
+  }
+  frame.valid = true;
+  frame.payload = payload;
+  return frame;
 }
 
 std::string SegmentName(uint64_t start_lsn) {
@@ -92,32 +110,14 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
   return segments;
 }
 
-Result<std::string> ReadFileBytes(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Status::NotFound("cannot open: " + path);
-  std::string bytes;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Status::Internal("read failed: " + path);
-    }
-    if (n == 0) break;
-    bytes.append(buffer, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return bytes;
-}
-
-/// Scans one segment's bytes. Appends records with lsn > after_lsn to
-/// `out`; `*expected_lsn` is the contiguity cursor (0 = adopt the
-/// segment's declared start). Returns the byte offset of the end of the
-/// valid prefix; `*valid` reports whether the scan reached the physical
-/// end without damage.
-size_t ScanSegment(const std::string& bytes, uint64_t declared_start,
-                   uint64_t after_lsn, uint64_t* expected_lsn,
+/// Scans one segment's bytes. Appends records with after_lsn < lsn <
+/// end_lsn to `out`; `*expected_lsn` is the contiguity cursor (0 = adopt
+/// the segment's declared start). Returns the byte offset where the scan
+/// stopped: the end of the valid prefix, or the start of the first record
+/// at or past end_lsn. `*valid` reports whether it stopped there without
+/// damage (at the physical end, or at end_lsn).
+size_t ScanSegment(std::string_view bytes, uint64_t declared_start,
+                   uint64_t after_lsn, uint64_t end_lsn, uint64_t* expected_lsn,
                    std::vector<WalRecord>* out, bool* valid) {
   *valid = false;
   if (bytes.empty()) {
@@ -129,10 +129,7 @@ size_t ScanSegment(const std::string& bytes, uint64_t declared_start,
     *valid = declared_start == *expected_lsn;
     return 0;
   }
-  if (bytes.size() < sizeof(kSegmentMagic) ||
-      std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    return 0;
-  }
+  if (!HasMagic(bytes)) return 0;
   if (*expected_lsn == 0) *expected_lsn = declared_start;
   if (declared_start != *expected_lsn) {
     return sizeof(kSegmentMagic);  // inter-segment gap: damaged suffix
@@ -143,41 +140,19 @@ size_t ScanSegment(const std::string& bytes, uint64_t declared_start,
       *valid = true;  // clean end of segment
       return offset;
     }
-    if (bytes.size() - offset < kHeaderBytes) return offset;  // torn header
-    const uint32_t len = GetU32(bytes.data() + offset);
-    if (len > kMaxPayloadBytes) return offset;
-    const uint64_t lsn = GetU64(bytes.data() + offset + 4);
-    const uint64_t stored_checksum = GetU64(bytes.data() + offset + 12);
-    if (bytes.size() - offset - kHeaderBytes < len) return offset;  // torn
-    const std::string_view payload(bytes.data() + offset + kHeaderBytes, len);
-    uint64_t checksum =
-        Fnv1a64(std::string_view(bytes.data() + offset, 12));
-    for (unsigned char c : payload) {
-      checksum ^= c;
-      checksum *= 1099511628211ull;
+    const Frame frame = ParseFrame(bytes, offset);
+    if (!frame.valid) return offset;  // torn or damaged
+    if (frame.lsn != *expected_lsn) return offset;  // checksummed, misplaced
+    if (frame.lsn >= end_lsn) {
+      *valid = true;
+      return offset;
     }
-    if (checksum != stored_checksum) return offset;
-    if (lsn != *expected_lsn) return offset;  // checksummed but out of place
-    if (lsn > after_lsn && out != nullptr) {
-      out->push_back(WalRecord{lsn, std::string(payload)});
+    if (frame.lsn > after_lsn && out != nullptr) {
+      out->push_back(WalRecord{frame.lsn, std::string(frame.payload)});
     }
     ++*expected_lsn;
-    offset += kHeaderBytes + len;
+    offset += kHeaderBytes + frame.payload_len;
   }
-}
-
-Status WriteAll(int fd, const char* data, size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("WAL write failed: ") +
-                              std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -188,33 +163,6 @@ Result<FsyncPolicy> FsyncPolicyFromName(const std::string& name) {
   if (name == "timer") return FsyncPolicy::kInterval;
   return Status::InvalidArgument(
       "unknown fsync policy '" + name + "' (want: always, every, timer)");
-}
-
-std::string EncodeRowPayload(const std::vector<double>& values) {
-  std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(values.size()));
-  for (double value : values) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    PutU64(&payload, bits);
-  }
-  return payload;
-}
-
-Result<std::vector<double>> DecodeRowPayload(std::string_view payload) {
-  if (payload.size() < 4) {
-    return Status::InvalidArgument("row payload shorter than its header");
-  }
-  const uint32_t n = GetU32(payload.data());
-  if (payload.size() != 4 + static_cast<size_t>(n) * 8) {
-    return Status::InvalidArgument("row payload size mismatch");
-  }
-  std::vector<double> values(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint64_t bits = GetU64(payload.data() + 4 + i * 8);
-    std::memcpy(&values[i], &bits, sizeof(double));
-  }
-  return values;
 }
 
 const char* WalOpName(WalOp op) {
@@ -255,16 +203,6 @@ Result<WalOpRecord> DecodeOpPayload(std::string_view payload) {
     return Status::InvalidArgument("empty WAL op payload");
   }
   const uint8_t tag = static_cast<unsigned char>(payload[0]);
-  if (tag < 0x80) {
-    // Legacy v2: a bare row payload starting with its dimension count.
-    Result<std::vector<double>> values = DecodeRowPayload(payload);
-    if (!values.ok()) return values.status();
-    WalOpRecord record;
-    record.op = WalOp::kInsert;
-    record.legacy = true;
-    record.values = std::move(values.value());
-    return record;
-  }
   if (tag == static_cast<uint8_t>(WalOp::kInsert)) {
     if (payload.size() < 1 + 8 + 4 + 4) {
       return Status::InvalidArgument("insert payload shorter than header");
@@ -306,13 +244,11 @@ Result<std::vector<WalDumpSegment>> DumpWal(const std::string& dir) {
   for (const auto& [start, name] : ListSegments(dir)) {
     Result<std::string> bytes = ReadFileBytes(dir + "/" + name);
     if (!bytes.ok()) return bytes.status();
-    const std::string& b = bytes.value();
+    const std::string_view b = bytes.value();
     WalDumpSegment segment;
     segment.file = name;
     segment.declared_start = start;
-    segment.magic_ok =
-        b.size() >= sizeof(kSegmentMagic) &&
-        std::memcmp(b.data(), kSegmentMagic, sizeof(kSegmentMagic)) == 0;
+    segment.magic_ok = HasMagic(b);
     segment.empty = b.empty();
     if (!segment.magic_ok) {
       segment.trailing_bytes = b.size();
@@ -321,36 +257,24 @@ Result<std::vector<WalDumpSegment>> DumpWal(const std::string& dir) {
     }
     size_t offset = sizeof(kSegmentMagic);
     while (offset < b.size()) {
-      if (b.size() - offset < kHeaderBytes) break;  // torn header
-      const uint32_t len = GetU32(b.data() + offset);
+      const Frame frame = ParseFrame(b, offset);
+      if (!frame.has_header) break;  // torn header
       WalDumpRecord record;
-      record.lsn = GetU64(b.data() + offset + 4);
-      record.payload_bytes = len;
-      if (len > kMaxPayloadBytes || b.size() - offset - kHeaderBytes < len) {
-        // Untrusted length: report the header as a damaged record and stop.
-        segment.records.push_back(std::move(record));
-        break;
-      }
-      const std::string_view payload(b.data() + offset + kHeaderBytes, len);
-      uint64_t checksum = Fnv1a64(std::string_view(b.data() + offset, 12));
-      for (unsigned char c : payload) {
-        checksum ^= c;
-        checksum *= 1099511628211ull;
-      }
-      record.checksum_ok = checksum == GetU64(b.data() + offset + 12);
-      if (record.checksum_ok) {
-        if (Result<WalOpRecord> decoded = DecodeOpPayload(payload);
+      record.lsn = frame.lsn;
+      record.payload_bytes = frame.payload_len;
+      record.checksum_ok = frame.valid;
+      if (frame.valid) {
+        if (Result<WalOpRecord> decoded = DecodeOpPayload(frame.payload);
             decoded.ok()) {
           record.decode_ok = true;
           record.record = std::move(decoded.value());
         }
       }
-      const bool damaged = !record.checksum_ok;
       segment.records.push_back(std::move(record));
       // A failed checksum covers the length field too; walking past it
       // would be guesswork.
-      if (damaged) break;
-      offset += kHeaderBytes + len;
+      if (!frame.valid) break;
+      offset += kHeaderBytes + frame.payload_len;
     }
     segment.trailing_bytes = b.size() - offset;
     segments.push_back(std::move(segment));
@@ -394,9 +318,9 @@ Result<WalReadResult> ReadWal(const std::string& dir, uint64_t after_lsn) {
     if (!bytes.ok()) return bytes.status();
     ++result.segments_scanned;
     bool valid = false;
-    const size_t end = ScanSegment(bytes.value(), segments[i].first,
-                                   after_lsn, &expected_lsn,
-                                   &result.records, &valid);
+    const size_t end = ScanSegment(bytes.value(), segments[i].first, after_lsn,
+                                   std::numeric_limits<uint64_t>::max(),
+                                   &expected_lsn, &result.records, &valid);
     if (!valid) {
       result.damaged_suffix = true;
       result.discarded_bytes += bytes.value().size() - end;
@@ -456,33 +380,16 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
   }
   if (!segments.empty()) {
     // Find where the valid prefix below next_lsn ends in the last segment
-    // and physically truncate there (torn tails and rejected suffixes go).
+    // and physically truncate there: torn tails go, and so do records at
+    // or beyond next_lsn, which are untrusted.
     const std::string path = dir + "/" + segments.back().second;
     Result<std::string> bytes = ReadFileBytes(path);
     if (!bytes.ok()) return bytes.status();
     uint64_t expected = 0;
     bool valid = false;
-    const size_t keep =
-        ScanSegment(bytes.value(), segments.back().first,
-                    /*after_lsn=*/next_lsn - 1, &expected, nullptr, &valid);
-    // Scanning stops at next_lsn only via damage or segment end; also stop
-    // explicitly: records with lsn >= next_lsn are untrusted.
-    size_t end = keep;
-    if (expected > next_lsn) {
-      // Valid records at or beyond next_lsn exist but are untrusted;
-      // re-walk the (already checksum-verified) lengths to find the byte
-      // offset where lsn == next_lsn starts.
-      end = sizeof(kSegmentMagic);
-      size_t offset = sizeof(kSegmentMagic);
-      uint64_t cursor = segments.back().first;
-      const std::string& b = bytes.value();
-      while (offset + kHeaderBytes <= b.size() && cursor < next_lsn) {
-        const uint32_t len = GetU32(b.data() + offset);
-        offset += kHeaderBytes + len;
-        ++cursor;
-        end = offset;
-      }
-    }
+    const size_t end =
+        ScanSegment(bytes.value(), segments.back().first, /*after_lsn=*/0,
+                    /*end_lsn=*/next_lsn, &expected, nullptr, &valid);
     if (end < bytes.value().size()) {
       wal->stats_.open_discarded_bytes += bytes.value().size() - end;
       std::filesystem::resize_file(path, end, ec);
@@ -501,7 +408,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     wal->sync_pending_ = true;  // the truncation itself must reach disk
     wal->segments_.assign(segments.begin(), segments.end());
     if (Status sync = wal->Sync(); !sync.ok()) return sync;
-    if (Status dir_sync = wal->SyncDir(); !dir_sync.ok()) return dir_sync;
+    if (Status dir_sync = SyncDir(dir); !dir_sync.ok()) return dir_sync;
   } else {
     if (Status rotate = wal->RotateSegment(); !rotate.ok()) return rotate;
   }
@@ -523,7 +430,8 @@ Status WriteAheadLog::RotateSegment() {
   if (fd < 0) {
     return Status::Internal("cannot create WAL segment: " + path);
   }
-  if (Status write = WriteAll(fd, kSegmentMagic, sizeof(kSegmentMagic));
+  if (Status write =
+          WriteAll(fd, std::string_view(kSegmentMagic, sizeof(kSegmentMagic)));
       !write.ok()) {
     ::close(fd);
     return write;
@@ -540,20 +448,7 @@ Status WriteAheadLog::RotateSegment() {
   segments_.emplace_back(next_lsn_, name);
   ++stats_.segments_created;
   last_sync_ = std::chrono::steady_clock::now();
-  return SyncDir();  // the new name must survive a crash
-}
-
-Status WriteAheadLog::SyncDir() {
-  const int dirfd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) {
-    return Status::Internal("cannot open WAL dir for fsync: " + dir_);
-  }
-  const int rc = ::fsync(dirfd);
-  ::close(dirfd);
-  if (rc != 0) {
-    return Status::Internal("fsync of WAL dir failed: " + dir_);
-  }
-  return Status::Ok();
+  return SyncDir(dir_);  // the new name must survive a crash
 }
 
 Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
@@ -574,12 +469,11 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
   // Crash-test hook: die after writing only half the record — a torn tail
   // the next open must truncate.
   if (SKYCUBE_FAULT_POINT("wal.append_torn")) {
-    (void)WriteAll(fd_, record.data(), record.size() / 2);
+    (void)WriteAll(fd_, std::string_view(record).substr(0, record.size() / 2));
     (void)::fdatasync(fd_);  // make the torn half durable, then die
     std::_Exit(42);
   }
-  if (Status write = WriteAll(fd_, record.data(), record.size());
-      !write.ok()) {
+  if (Status write = WriteAll(fd_, record); !write.ok()) {
     failed_ = true;
     return write;
   }
@@ -641,7 +535,7 @@ Status WriteAheadLog::TruncateThrough(uint64_t lsn) {
     ++stats_.segments_deleted;
     deleted = true;
   }
-  return deleted ? SyncDir() : Status::Ok();
+  return deleted ? SyncDir(dir_) : Status::Ok();
 }
 
 WalStats WriteAheadLog::stats() const {

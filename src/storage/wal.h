@@ -147,7 +147,6 @@ class WriteAheadLog {
 
   /// Opens a fresh segment whose name encodes next_lsn_.
   [[nodiscard]] Status RotateSegment();
-  [[nodiscard]] Status SyncDir();
 
   std::string dir_;
   WalOptions options_;
@@ -164,19 +163,10 @@ class WriteAheadLog {
   WalStats stats_;
 };
 
-/// Payload codec for legacy (format v2) ingest records: one inserted row.
-///   uint32 num_dims | num_dims doubles (little-endian bit patterns)
-std::string EncodeRowPayload(const std::vector<double>& values);
-/// Decodes; fails with kInvalidArgument on a size mismatch (a checksummed
-/// record of the wrong shape — format drift, not corruption).
-[[nodiscard]] Result<std::vector<double>> DecodeRowPayload(
-    std::string_view payload);
-
-/// Op-typed payloads (format v3). The first payload byte discriminates the
-/// format: v3 op tags are >= 0x80, while a legacy v2 payload starts with
-/// the low byte of its uint32 dimension count (always < 0x80 — dimension
-/// counts are bounded by kMaxDims). Mixed segments are fine; the record
-/// framing (len | lsn | checksum) is unchanged.
+/// Op-typed payloads (format v3), the only payload format the log holds.
+/// The first byte is the op tag; tags start at 0x80 because payloads below
+/// it were the untagged row records of format v2, which are no longer
+/// read. The record framing (len | lsn | checksum) does not depend on it.
 enum class WalOp : uint8_t {
   kInsert = 0x81,  // u8 op | u64 ts_ms | u32 row | u32 count | count doubles
   kDelete = 0x82,  // u8 op | u64 ts_ms | u32 row
@@ -185,13 +175,10 @@ enum class WalOp : uint8_t {
 /// Short lowercase name ("insert", "delete").
 const char* WalOpName(WalOp op);
 
-/// One decoded op-typed payload. For legacy v2 payloads, op is kInsert,
-/// timestamp_ms is 0, `legacy` is set, and `row` is meaningless (legacy
-/// records predate explicit row ids; replay appends at the current end).
+/// One decoded op-typed payload.
 struct WalOpRecord {
   WalOp op = WalOp::kInsert;
   uint64_t timestamp_ms = 0;
-  bool legacy = false;
   std::vector<double> values;  // kInsert only
   /// kInsert: the object id the row was assigned at ingest (== dataset size
   /// before the insert) — lets a WAL-only rebuild keep ids exact.
@@ -205,9 +192,8 @@ std::string EncodeInsertPayload(const std::vector<double>& values,
                                 uint32_t row, uint64_t timestamp_ms);
 /// v3 delete payload: the target row id plus the delete's timestamp.
 std::string EncodeDeletePayload(uint32_t row, uint64_t timestamp_ms);
-/// Decodes a v3 payload, falling back to the legacy v2 row codec when the
-/// first byte is below 0x80. Fails with kInvalidArgument on size mismatch
-/// or an unknown op tag.
+/// Decodes a v3 payload. Fails with kInvalidArgument on size mismatch or
+/// an unknown op tag (a v2 row payload included).
 [[nodiscard]] Result<WalOpRecord> DecodeOpPayload(std::string_view payload);
 
 /// One record as seen by the read-only inspector (tools/skycube_waldump):
@@ -216,7 +202,7 @@ struct WalDumpRecord {
   uint64_t lsn = 0;
   size_t payload_bytes = 0;
   bool checksum_ok = false;  // framing (len/lsn/checksum) validates
-  bool decode_ok = false;    // payload parsed as a v2/v3 op
+  bool decode_ok = false;    // payload parsed as a v3 op
   WalOpRecord record;        // valid iff decode_ok
 };
 

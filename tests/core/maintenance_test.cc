@@ -278,7 +278,7 @@ TEST(MaintenanceTest, ExpireOlderThanBatchesAndSkipsTimestampZero) {
   EXPECT_TRUE(maintainer.IsLive(7));
   ExpectLiveCurrent(maintainer);
 
-  // Timestamp-0 rows (bootstrap / legacy WAL) never expire, and a pass
+  // Timestamp-0 rows (bootstrap rows) never expire, and a pass
   // that expires nothing does not bump the version.
   const uint64_t after = maintainer.version();
   EXPECT_EQ(maintainer.ExpireOlderThan(250), 0u);

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -77,29 +78,42 @@ TEST(SerializationTest, DimensionNamesRoundTrip) {
   EXPECT_EQ(unnamed.value().groups, groups);
 }
 
+/// Wraps `body` as a v2 file with a correct checksum, so a malformed body
+/// gets past the envelope and reaches the group parser.
+std::string V2File(std::string_view body) {
+  return WrapChecksummed("skycube-cube v2", body);
+}
+
+/// Expects `body`, checksummed, to fail inside the body parser: its
+/// structural kInvalidArgument, carrying `message`.
+void ExpectBodyRejected(std::string_view body, std::string_view message) {
+  const Result<SerializedCube> loaded = DeserializeCube(V2File(body));
+  ASSERT_FALSE(loaded.ok()) << body;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << body;
+  EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(SerializationTest, RejectsBadInput) {
   EXPECT_FALSE(DeserializeCube("").ok());
   EXPECT_FALSE(DeserializeCube("skycube-cube v2\n").ok());
   EXPECT_FALSE(DeserializeCube("banana v1\n").ok());
+  // Positive control: a well-formed body through the same wrapper loads.
+  const Result<SerializedCube> valid = DeserializeCube(
+      V2File("dims 2 objects 2 groups 1\n1 0 3 1 1 0.5 0.5\n"));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ(valid.value().groups.size(), 1u);
   // Member id out of range.
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n"
-                      "1 7 3 1 1 0.5 0.5\n")
-          .ok());
+  ExpectBodyRejected("dims 2 objects 2 groups 1\n1 7 3 1 1 0.5 0.5\n",
+                     "bad member id");
   // Decisive outside the maximal subspace.
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n"
-                      "1 0 1 1 2 0.5\n")
-          .ok());
+  ExpectBodyRejected("dims 2 objects 2 groups 1\n1 0 1 1 2 0.5\n",
+                     "bad decisive subspace");
   // Truncated group line.
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n1 0\n")
-          .ok());
+  ExpectBodyRejected("dims 2 objects 2 groups 1\n1 0\n", "bad subspace data");
   // Empty subspace.
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n"
-                      "1 0 0 1 1 0.5\n")
-          .ok());
+  ExpectBodyRejected("dims 2 objects 2 groups 1\n1 0 0 1 1 0.5\n",
+                     "bad subspace data");
   EXPECT_FALSE(LoadCubeFromFile("/no/such/file").ok());
 }
 
@@ -179,31 +193,28 @@ TEST(SerializationTest, CorruptFileRoundTripFails) {
   std::remove(path.c_str());
 }
 
-TEST(SerializationTest, LegacyV1WithoutChecksumStillLoads) {
+TEST(SerializationTest, RejectsV1Header) {
+  // v1 files (no checksum line) are no longer read: a well-formed v1 body
+  // is refused at the header.
   const Result<SerializedCube> loaded =
       DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n"
                       "1 0 3 1 1 0.5 0.5\n");
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().num_dims, 2);
-  EXPECT_EQ(loaded.value().groups.size(), 1u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SerializationTest, HugeCountsFailWithoutAllocating) {
   // A corrupt count must not drive a pre-allocation: the parse has to fail
   // on the missing elements, not die in resize().
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects 2 groups 1\n"
-                      "1 0 3 18446744073709551615 1 0.5 0.5\n")
-          .ok());
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 2 objects "
-                      "18446744073709551615 groups 1\n"
-                      "18446744073709551615 0\n")
-          .ok());
-  EXPECT_FALSE(
-      DeserializeCube("skycube-cube v1\ndims 64 objects 99999999999 "
-                      "groups 99999999999\n")
-          .ok());
+  ExpectBodyRejected(
+      "dims 2 objects 2 groups 1\n1 0 3 18446744073709551615 1 0.5 0.5\n",
+      "bad decisive subspace");
+  ExpectBodyRejected(
+      "dims 2 objects 18446744073709551615 groups 1\n"
+      "18446744073709551615 0\n",
+      "bad member id");
+  ExpectBodyRejected("dims 64 objects 99999999999 groups 99999999999\n",
+                     "bad member count");
 }
 
 }  // namespace

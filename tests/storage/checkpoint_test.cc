@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,26 @@ TEST(CheckpointTest, CorruptionAlwaysDetected) {
     EXPECT_EQ(ListCheckpoints(dir), std::vector<uint64_t>{9}) << damage.name;
     EXPECT_FALSE(LoadCheckpoint(dir, 9).ok()) << damage.name;
   }
+}
+
+TEST(CheckpointTest, RejectsV1Header) {
+  // v1 checkpoints (from before deletes existed) are no longer read. The
+  // header is outside the checksum, so this file's digest still matches:
+  // the header alone must refuse it.
+  const std::string dir = FreshDir("ckpt_v1_header");
+  const Dataset data = MakeData(20, 3, 2);
+  Checkpointer checkpointer(dir, 1);
+  ASSERT_TRUE(checkpointer.Write(4, data, ComputeStellar(data)).ok());
+  std::ifstream file(dir + "/checkpoint-0000000000000004.ckpt",
+                     std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(file)),
+                   std::istreambuf_iterator<char>());
+  ASSERT_TRUE(ParseCheckpoint(text).ok());
+  ASSERT_EQ(text.rfind("skycube-checkpoint v2\n", 0), 0u);
+  text[text.find('\n') - 1] = '1';  // "skycube-checkpoint v1"
+  Result<CheckpointData> parsed = ParseCheckpoint(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointTest, LsnFilenameMismatchRejected) {

@@ -22,7 +22,7 @@ std::vector<WalRecord> SampleRecords() {
   records.push_back({101, EncodeInsertPayload({1.5, -2.0, 3.25}, 7,
                                               1700000000000)});
   records.push_back({102, EncodeDeletePayload(3, 1700000000500)});
-  records.push_back({103, EncodeRowPayload({9.0, 8.0, 7.0})});  // legacy v2
+  records.push_back({103, EncodeInsertPayload({9.0, 8.0, 7.0}, 8, 0)});
   records.push_back({104, std::string()});                      // empty payload
   records.push_back({105, std::string(1000, '\xab')});          // binary blob
   return records;

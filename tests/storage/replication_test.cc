@@ -1,8 +1,9 @@
 // Replication tests (storage/replication.h): shipped-batch codec, WAL
 // shipper semantics (truncation → re-bootstrap, ack tracking, semi-sync
 // fencing), snapshot install/wipe/rewind utilities, and the follower apply
-// loop — including the mixed legacy-v2/v3 tail, whose replay on a
-// follower must be byte-identical to local recovery of the primary's log.
+// loop — including a hand-written tail with an already-dead delete, whose
+// replay on a follower must be byte-identical to local recovery of the
+// primary's log.
 #include "storage/replication.h"
 
 #include <algorithm>
@@ -191,13 +192,14 @@ TEST(ReplicationTest, FollowerConvergesFromSnapshotAndTail) {
   EXPECT_GT(reloads.load(std::memory_order_relaxed), 0u);
 }
 
-TEST(ReplicationTest, MixedLegacyV3TailMatchesLocalRecovery) {
-  // A primary whose WAL tail mixes legacy v2 records (bare row payloads,
-  // logs written before op-typed records) with v3 inserts and deletes. A
-  // follower replaying the shipped tail must end up byte-identical to what
-  // local recovery of that log produces — same row ids, same timestamps.
-  const std::string primary_dir = FreshDir("repl_mixed_primary");
-  const std::string follower_dir = FreshDir("repl_mixed_follower");
+TEST(ReplicationTest, HandWrittenTailMatchesLocalRecovery) {
+  // A primary whose WAL tail is written by hand: timestamped inserts, a
+  // delete of a base row, and a second delete of that now-dead row (which
+  // ApplyDelete never logs, but replay must take as a no-op). A follower
+  // replaying the shipped tail must end up byte-identical to what local
+  // recovery of that log produces — same row ids, same timestamps.
+  const std::string primary_dir = FreshDir("repl_handwritten_primary");
+  const std::string follower_dir = FreshDir("repl_handwritten_follower");
   const Dataset bootstrap = MakeData(20, 3, 5);
   const uint32_t base = static_cast<uint32_t>(bootstrap.num_objects());
   {
@@ -208,34 +210,28 @@ TEST(ReplicationTest, MixedLegacyV3TailMatchesLocalRecovery) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   }
   {
-    // Hand-write the mixed tail the way a pre-v3 ingest plus a modern one
-    // would have: legacy rows carry no row id or timestamp and append in
-    // arrival order, so the interleaved v3 records must use the row ids
-    // the replay will actually assign.
     Result<std::unique_ptr<WriteAheadLog>> wal =
         WriteAheadLog::Open(primary_dir, /*next_lsn=*/1);
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-    ASSERT_TRUE(
-        wal.value()->Append(EncodeRowPayload({0.5, 0.4, 0.3})).ok());
-    ASSERT_TRUE(wal.value()
-                    ->Append(EncodeInsertPayload({0.2, 0.9, 0.8}, base + 1,
-                                                 /*ts=*/7777))
-                    .ok());
-    ASSERT_TRUE(
-        wal.value()->Append(EncodeRowPayload({0.1, 0.1, 0.95})).ok());
-    ASSERT_TRUE(
-        wal.value()->Append(EncodeDeletePayload(base, /*ts=*/8888)).ok());
-    ASSERT_TRUE(wal.value()
-                    ->Append(EncodeInsertPayload({0.6, 0.2, 0.2}, base + 3,
-                                                 /*ts=*/9999))
-                    .ok());
+    const std::vector<std::string> tail = {
+        EncodeInsertPayload({0.5, 0.4, 0.3}, base, /*ts=*/5555),
+        EncodeInsertPayload({0.2, 0.9, 0.8}, base + 1, /*ts=*/7777),
+        EncodeDeletePayload(3, /*ts=*/8888),
+        EncodeInsertPayload({0.1, 0.1, 0.95}, base + 2, /*ts=*/9000),
+        EncodeDeletePayload(3, /*ts=*/9500),
+        EncodeInsertPayload({0.6, 0.2, 0.2}, base + 3, /*ts=*/9999)};
+    for (const std::string& payload : tail) {
+      ASSERT_TRUE(wal.value()->Append(payload).ok());
+    }
     ASSERT_TRUE(wal.value()->Sync().ok());
   }
 
   // The local-recovery oracle over the primary's log.
   Result<RecoveredState> local = RecoverFromDir(primary_dir);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
-  EXPECT_EQ(local.value().stats.wal_records_replayed, 5u);
+  EXPECT_EQ(local.value().stats.wal_records_replayed, 6u);
+  EXPECT_EQ(local.value().stats.wal_deletes_replayed, 1u);
+  EXPECT_EQ(local.value().stats.wal_deletes_ignored, 1u);
 
   DirReplicationSource source(primary_dir);
   std::unique_ptr<DurableIngest> follower =
@@ -244,7 +240,7 @@ TEST(ReplicationTest, MixedLegacyV3TailMatchesLocalRecovery) {
   WalFollower tail(follower.get(), &source,
                    [](const InsertHandler::Applied&) {});
   tail.Start();
-  ASSERT_TRUE(WaitApplied(tail, 5, std::chrono::seconds(20)));
+  ASSERT_TRUE(WaitApplied(tail, 6, std::chrono::seconds(20)));
   tail.Stop();
   EXPECT_EQ(tail.stats().apply_errors, 0u);
 
@@ -255,15 +251,18 @@ TEST(ReplicationTest, MixedLegacyV3TailMatchesLocalRecovery) {
   EXPECT_EQ(follower_groups, recovered_groups);
   EXPECT_EQ(follower->maintainer().data().num_objects(),
             local.value().maintainer->data().num_objects());
+  EXPECT_EQ(follower->maintainer().live(), local.value().maintainer->live());
+  EXPECT_EQ(follower->maintainer().timestamps(),
+            local.value().maintainer->timestamps());
 
-  // Byte identity of the replicated log: legacy records stay legacy on the
-  // follower — same payload bytes at the same LSNs.
+  // Byte identity of the replicated log: same payload bytes at the same
+  // LSNs.
   Result<WalReadResult> primary_wal = ReadWal(primary_dir, 0);
   Result<WalReadResult> follower_wal = ReadWal(follower_dir, 0);
   ASSERT_TRUE(primary_wal.ok());
   ASSERT_TRUE(follower_wal.ok());
-  ASSERT_EQ(follower_wal.value().records.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
+  ASSERT_EQ(follower_wal.value().records.size(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(follower_wal.value().records[i].lsn,
               primary_wal.value().records[i].lsn);
     EXPECT_EQ(follower_wal.value().records[i].payload,

@@ -241,15 +241,6 @@ TEST(WalTest, CorruptionMatrix) {
   }
 }
 
-TEST(WalTest, RowPayloadCodec) {
-  const std::vector<double> row = {0.25, -3.5, 1e-9, 42.0};
-  Result<std::vector<double>> decoded = DecodeRowPayload(EncodeRowPayload(row));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), row);
-  EXPECT_FALSE(DecodeRowPayload("garbage").ok());
-  EXPECT_FALSE(DecodeRowPayload("").ok());
-}
-
 // --- Op-typed (v3) payloads ----------------------------------------------
 
 TEST(WalTest, OpPayloadRoundTrip) {
@@ -261,7 +252,6 @@ TEST(WalTest, OpPayloadRoundTrip) {
   EXPECT_EQ(insert.value().values, row);
   EXPECT_EQ(insert.value().row, 317u);
   EXPECT_EQ(insert.value().timestamp_ms, 123456u);
-  EXPECT_FALSE(insert.value().legacy);
 
   Result<WalOpRecord> del =
       DecodeOpPayload(EncodeDeletePayload(/*row=*/42, /*ts=*/99));
@@ -272,17 +262,23 @@ TEST(WalTest, OpPayloadRoundTrip) {
   EXPECT_TRUE(del.value().values.empty());
 }
 
-TEST(WalTest, LegacyRowPayloadDecodesAsUntimestampedInsert) {
-  // A v2 payload (leading byte < 0x80: the low byte of its dim count) must
-  // decode as an insert with no timestamp — the upgrade path for logs
-  // written before op-typed records existed.
-  const std::vector<double> row = {1.5, 2.5, 3.5};
-  Result<WalOpRecord> decoded = DecodeOpPayload(EncodeRowPayload(row));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().op, WalOp::kInsert);
-  EXPECT_TRUE(decoded.value().legacy);
-  EXPECT_EQ(decoded.value().timestamp_ms, 0u);
-  EXPECT_EQ(decoded.value().values, row);
+TEST(WalTest, RejectsPayloadBelowOpTags) {
+  // Format v2 logged a bare row: a u32 dimension count, then the doubles.
+  // Its first byte (the count's low byte) is below every v3 op tag, and
+  // v2 payloads are no longer read.
+  std::string row_payload("\x03\x00\x00\x00", 4);
+  row_payload.append(3 * sizeof(double), '\0');
+  Result<WalOpRecord> row = DecodeOpPayload(row_payload);
+  ASSERT_FALSE(row.ok());
+  EXPECT_EQ(row.status().code(), StatusCode::kInvalidArgument);
+  // Every leading byte below 0x80, on an otherwise valid insert payload.
+  std::string insert = EncodeInsertPayload({1.5, 2.5, 3.5}, 4, 1000);
+  for (int tag = 0; tag < 0x80; ++tag) {
+    insert[0] = static_cast<char>(tag);
+    Result<WalOpRecord> decoded = DecodeOpPayload(insert);
+    ASSERT_FALSE(decoded.ok()) << tag;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << tag;
+  }
 }
 
 TEST(WalTest, OpPayloadDecodeRejectsDamage) {

@@ -17,6 +17,7 @@
 
 #include "common/hash.h"
 #include "gtest/gtest.h"
+#include "storage/file_io.h"
 #include "storage/wal.h"
 
 namespace skycube {
@@ -29,28 +30,14 @@ std::string MakeTempDir() {
   return dir;
 }
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
 /// One wire-exact WAL record (mirrors storage/wal.cc's framing) — built by
 /// hand so tests can place records at arbitrary LSNs, which the real
 /// appender never does.
 std::string RecordBytes(uint64_t lsn, std::string_view payload) {
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  PutU64(&header, lsn);
-  uint64_t checksum = Fnv1a64(header);
-  for (unsigned char c : payload) {
-    checksum ^= c;
-    checksum *= 1099511628211ull;
-  }
-  std::string record = header;
-  PutU64(&record, checksum);
+  std::string record;
+  PutU32(&record, static_cast<uint32_t>(payload.size()));
+  PutU64(&record, lsn);
+  PutU64(&record, Fnv1a64(payload, Fnv1a64(record)));
   record.append(payload);
   return record;
 }

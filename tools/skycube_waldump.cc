@@ -12,8 +12,9 @@
 //
 // Unlike recovery (storage/recovery.h) this never stops at a damaged
 // record or an inter-segment gap: it reports what is actually on disk —
-// the debugging view for a data directory that refuses to recover. Legacy
-// v2 records (no op byte, no timestamp) print op=insert legacy=1.
+// the debugging view for a data directory that refuses to recover. A
+// payload that is not a v3 op (a v2 row record among them) prints
+// decode=BAD.
 //
 // --from-lsn=N skips records below N (segments whose records all fall
 // below N are elided entirely) — the view a replication follower acked at
@@ -161,11 +162,11 @@ int Dump(const FlagParser& flags) {
       }
       if (record.lsn < from_lsn) continue;
       const WalOpRecord& op = record.record;
-      std::printf("lsn=%llu op=%s row=%u ts=%llu bytes=%zu checksum=ok%s",
+      std::printf("lsn=%llu op=%s row=%u ts=%llu bytes=%zu checksum=ok",
                   static_cast<unsigned long long>(record.lsn),
                   WalOpName(op.op), op.row,
                   static_cast<unsigned long long>(op.timestamp_ms),
-                  record.payload_bytes, op.legacy ? " legacy=1" : "");
+                  record.payload_bytes);
       if (with_values && op.op == WalOp::kInsert) {
         std::printf(" values=");
         for (size_t v = 0; v < op.values.size(); ++v) {
