@@ -52,6 +52,17 @@ void BM_Q1_FromCube(benchmark::State& state) {
 }
 BENCHMARK(BM_Q1_FromCube)->Unit(benchmark::kMicrosecond);
 
+// The full space has the largest skyline and all 2^d submasks: Q1's worst
+// case, on whichever side of the index-or-scan rule it falls.
+void BM_Q1_FullSpaceFromCube(benchmark::State& state) {
+  const CompressedSkylineCube& cube = SharedCube();
+  for (auto _ : state) {
+    std::vector<ObjectId> skyline = cube.SubspaceSkyline(FullMask(kDims));
+    benchmark::DoNotOptimize(skyline);
+  }
+}
+BENCHMARK(BM_Q1_FullSpaceFromCube)->Unit(benchmark::kMicrosecond);
+
 void BM_Q1_RecomputeSfs(benchmark::State& state) {
   const Dataset& data = SharedData();
   SharedCube();  // exclude cube construction from timing symmetry

@@ -32,7 +32,8 @@ std::vector<std::pair<ObjectId, uint64_t>> TopKFrequentSkylineObjects(
 std::vector<uint64_t> SkylineLevelHistogram(
     const CompressedSkylineCube& cube) {
   std::vector<uint64_t> histogram(cube.num_dims(), 0);
-  for (const SkylineGroup& group : cube.groups()) {
+  for (size_t g = 0; g < cube.num_groups(); ++g) {
+    const CompressedSkylineCube::GroupView group = cube.group(g);
     AccumulateCoveredByLevel(group.max_subspace, group.decisive_subspaces,
                              group.members.size(), &histogram);
   }

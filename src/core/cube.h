@@ -10,10 +10,18 @@
 // derivation (an object is in Sky(B) iff one of its groups has a decisive
 // C ⊆ B ⊆ max_subspace) follows from Definitions 1–2; see the proof notes
 // in tests/core/cube_test.cc.
+//
+// Layout: the groups sit in flat arrays in canonical order (NormalizeGroups'
+// order), each list addressed through per-group offsets, and the object →
+// groups map is in CSR form. For d ≤ 16 the groups are also indexed by
+// decisive subspace (CSR over all 2^d masks), so a Q1 on S can visit only
+// the buckets of the submasks of S instead of every group. Projections are
+// not kept: no query reads them.
 #ifndef SKYCUBE_CORE_CUBE_H_
 #define SKYCUBE_CORE_CUBE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/deadline.h"
@@ -25,16 +33,25 @@ namespace skycube {
 /// Immutable query interface over a computed SkylineGroupSet.
 class CompressedSkylineCube {
  public:
-  /// Wraps `groups` (normalized or not; they are normalized internally).
+  /// Lays out `groups` (normalized or not) in canonical order: members and
+  /// decisive lists sorted, groups by members, then max subspace.
   /// `num_dims` is the dimensionality of the space the groups live in;
   /// `num_objects` the size of the object universe (ids < num_objects).
   CompressedSkylineCube(int num_dims, size_t num_objects,
-                        SkylineGroupSet groups);
+                        const SkylineGroupSet& groups);
 
   int num_dims() const { return num_dims_; }
   size_t num_objects() const { return num_objects_; }
-  size_t num_groups() const { return groups_.size(); }
-  const SkylineGroupSet& groups() const { return groups_; }
+  size_t num_groups() const { return max_subspaces_.size(); }
+
+  /// One group in canonical order, viewed in place (valid while the cube
+  /// lives).
+  struct GroupView {
+    std::span<const ObjectId> members;
+    DimMask max_subspace = 0;
+    std::span<const DimMask> decisive_subspaces;
+  };
+  GroupView group(size_t index) const;
 
   /// A membership interval: the group's objects are in the skyline of every
   /// subspace A with lower ⊆ A ⊆ upper.
@@ -46,11 +63,17 @@ class CompressedSkylineCube {
 
   // ----- Q1 -----
   //
-  // The group-scan traversals (Q1 and the Q3 aggregates below) accept an
-  // optional CancelToken, polled at lattice-node (group) granularity: once
-  // it fires they return early with a *partial* value. The caller must
-  // re-check the token and discard the result — SkycubeService does, and
-  // maps it to kDeadlineExceeded.
+  // Q1 and the Q3 aggregates below accept an optional CancelToken, polled
+  // per index bucket or per group: once it fires they return early with a
+  // *partial* value. The caller must re-check the token and discard the
+  // result — SkycubeService does, and maps it to kDeadlineExceeded.
+  //
+  // Q1 finds the covering groups through the decisive-subspace index when
+  // d ≤ 16 and walking it visits no more buckets and entries (2^|S| plus
+  // the entries of the buckets C ⊆ S) than a scan makes tests (one per
+  // group, plus one per group whose maximal subspace contains S), and by
+  // testing every group otherwise. A subspace with dimensions beyond
+  // num_dims has an empty skyline.
 
   /// The skyline of `subspace` (ascending ids), derived from the groups.
   std::vector<ObjectId> SubspaceSkyline(
@@ -60,8 +83,8 @@ class CompressedSkylineCube {
   size_t SkylineCardinality(DimMask subspace,
                             const CancelToken* cancel = nullptr) const;
 
-  /// Indices of the groups covering `subspace` (pairwise disjoint member
-  /// sets whose union is the subspace skyline).
+  /// Indices of the groups covering `subspace`, ascending (pairwise
+  /// disjoint member sets whose union is the subspace skyline).
   std::vector<size_t> GroupsCoveringSubspace(DimMask subspace) const;
 
   // ----- Q2 -----
@@ -97,13 +120,53 @@ class CompressedSkylineCube {
       const CancelToken* cancel = nullptr) const;
 
  private:
-  /// Does group `g` cover subspace `B` (∃ decisive C ⊆ B ⊆ max_subspace)?
-  bool Covers(const SkylineGroup& group, DimMask subspace) const;
+  /// Does group `g` cover `subspace` (∃ decisive C ⊆ B ⊆ max_subspace)?
+  bool Covers(size_t g, DimMask subspace) const {
+    if (!IsSubsetOf(subspace, max_subspaces_[g])) return false;
+    for (DimMask decisive : Decisives(g)) {
+      if (IsSubsetOf(decisive, subspace)) return true;
+    }
+    return false;
+  }
+
+  /// Calls `visit(g)` for each group covering `subspace`, in ascending
+  /// order; stops early (a partial answer) once `cancel` fires.
+  template <typename Visit>
+  void ForEachCoveringGroup(DimMask subspace, const CancelToken* cancel,
+                            Visit&& visit) const;
+
+  std::span<const ObjectId> Members(size_t g) const {
+    return {members_.data() + member_offsets_[g],
+            members_.data() + member_offsets_[g + 1]};
+  }
+  std::span<const DimMask> Decisives(size_t g) const {
+    return {decisives_.data() + decisive_offsets_[g],
+            decisives_.data() + decisive_offsets_[g + 1]};
+  }
+  std::span<const uint32_t> GroupsOf(ObjectId object) const {
+    return {object_groups_.data() + object_offsets_[object],
+            object_groups_.data() + object_offsets_[object + 1]};
+  }
 
   int num_dims_;
   size_t num_objects_;
-  SkylineGroupSet groups_;
-  std::vector<std::vector<uint32_t>> groups_of_object_;
+  // Group g: members_[member_offsets_[g], member_offsets_[g + 1]),
+  // max_subspaces_[g], decisives_[decisive_offsets_[g], ...[g + 1]).
+  std::vector<uint32_t> member_offsets_;
+  std::vector<ObjectId> members_;
+  std::vector<DimMask> max_subspaces_;
+  std::vector<uint32_t> decisive_offsets_;
+  std::vector<DimMask> decisives_;
+  // Object o's groups, ascending: object_groups_[object_offsets_[o], ...).
+  std::vector<uint32_t> object_offsets_;
+  std::vector<uint32_t> object_groups_;
+  // The decisive-subspace index, empty when d > 16. The groups with
+  // decisive subspace C, ascending:
+  // bucket_groups_[bucket_offsets_[C], bucket_offsets_[C + 1]); and
+  // walk_index_[S], whether Q1 on S walks the index rather than scanning.
+  std::vector<uint32_t> bucket_offsets_;
+  std::vector<uint32_t> bucket_groups_;
+  std::vector<bool> walk_index_;
 };
 
 }  // namespace skycube

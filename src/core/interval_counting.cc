@@ -1,6 +1,7 @@
 #include "core/interval_counting.h"
 
 #include <bit>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -27,7 +28,7 @@ const uint64_t* BinomialRow(int n) {
 
 // Compresses each lower mask into the dense bit-space of b's dimensions.
 std::vector<DimMask> CompressToDense(DimMask b,
-                                     const std::vector<DimMask>& lowers) {
+                                     std::span<const DimMask> lowers) {
   std::vector<int> dense_of_dim(kMaxDims, -1);
   int next = 0;
   ForEachDim(b, [&](int dim) { dense_of_dim[dim] = next++; });
@@ -57,7 +58,7 @@ std::vector<char> SosCoverage(int b_size,
 }
 
 template <typename PerSubspace>
-void ForEachCoveredCount(DimMask b, const std::vector<DimMask>& lowers,
+void ForEachCoveredCount(DimMask b, std::span<const DimMask> lowers,
                          PerSubspace&& per_level) {
   SKYCUBE_CHECK_MSG(!lowers.empty(), "need at least one interval lower end");
   const int b_size = MaskSize(b);
@@ -91,7 +92,7 @@ void ForEachCoveredCount(DimMask b, const std::vector<DimMask>& lowers,
 
 }  // namespace
 
-uint64_t CountCoveredSubspaces(DimMask b, const std::vector<DimMask>& lowers) {
+uint64_t CountCoveredSubspaces(DimMask b, std::span<const DimMask> lowers) {
   int64_t total = 0;
   ForEachCoveredCount(b, lowers,
                       [&](int /*level*/, int64_t count) { total += count; });
@@ -99,7 +100,7 @@ uint64_t CountCoveredSubspaces(DimMask b, const std::vector<DimMask>& lowers) {
   return static_cast<uint64_t>(total);
 }
 
-void AccumulateCoveredByLevel(DimMask b, const std::vector<DimMask>& lowers,
+void AccumulateCoveredByLevel(DimMask b, std::span<const DimMask> lowers,
                               uint64_t weight,
                               std::vector<uint64_t>* histogram) {
   SKYCUBE_CHECK(histogram->size() >= static_cast<size_t>(MaskSize(b)));

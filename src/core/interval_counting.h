@@ -16,6 +16,7 @@
 #define SKYCUBE_CORE_INTERVAL_COUNTING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/subspace.h"
@@ -28,11 +29,11 @@ inline constexpr int kMaxSosDims = 22;                // 2^22-entry DP
 
 /// |{A : C_i ⊆ A ⊆ b for some i}|. Every lower must be a non-empty subset
 /// of `b`; `lowers` must be non-empty.
-uint64_t CountCoveredSubspaces(DimMask b, const std::vector<DimMask>& lowers);
+uint64_t CountCoveredSubspaces(DimMask b, std::span<const DimMask> lowers);
 
 /// Adds `weight` × |{A covered, |A| = l}| to (*histogram)[l − 1] for every
 /// level l. histogram->size() must be ≥ the dimensionality of the space.
-void AccumulateCoveredByLevel(DimMask b, const std::vector<DimMask>& lowers,
+void AccumulateCoveredByLevel(DimMask b, std::span<const DimMask> lowers,
                               uint64_t weight,
                               std::vector<uint64_t>* histogram);
 

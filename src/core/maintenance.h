@@ -151,9 +151,10 @@ class IncrementalCubeMaintainer {
   uint64_t version() const { return version_; }
 
   /// Packages the current groups as an immutable queryable snapshot, ready
-  /// for SkycubeService::Reload (service/service.h). The snapshot copies
-  /// the groups, so the maintainer can keep mutating afterwards. Tombstoned
-  /// ids are simply absent from every group (membership answers false).
+  /// for SkycubeService::Reload (service/service.h). The snapshot lays the
+  /// groups out in its own flat arrays, so the maintainer can keep mutating
+  /// afterwards. Tombstoned ids are simply absent from every group
+  /// (membership answers false).
   CompressedSkylineCube MakeCube() const;
 
   const MaintenanceStats& stats() const { return stats_; }

@@ -385,6 +385,15 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string path = dir + "/" + segments.back().second;
     Result<std::string> bytes = ReadFileBytes(path);
     if (!bytes.ok()) return bytes.status();
+    wal->segments_.assign(segments.begin(), segments.end());
+    if (!HasMagic(bytes.value())) {
+      // Records appended here would sit behind no magic, and the next
+      // recovery would discard them. Leave the damaged file for
+      // skycube_waldump and start a segment at next_lsn, where ReadWal
+      // begins once a checkpoint covers the damaged one.
+      if (Status rotate = wal->RotateSegment(); !rotate.ok()) return rotate;
+      return wal;
+    }
     uint64_t expected = 0;
     bool valid = false;
     const size_t end =
@@ -406,7 +415,6 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     wal->segment_start_lsn_ = segments.back().first;
     wal->segment_size_ = end;
     wal->sync_pending_ = true;  // the truncation itself must reach disk
-    wal->segments_.assign(segments.begin(), segments.end());
     if (Status sync = wal->Sync(); !sync.ok()) return sync;
     if (Status dir_sync = SyncDir(dir); !dir_sync.ok()) return dir_sync;
   } else {

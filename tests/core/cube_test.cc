@@ -6,6 +6,7 @@
 // closes to a skyline group (G, B*) with B ⊆ B* and B satisfying
 // Definition 2's conditions (1)+(2), hence containing a minimal such C —
 // i.e. iff some group of u has a decisive C with C ⊆ B ⊆ B*.
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -94,7 +95,7 @@ TEST_P(CubeQueryTest, CoveringGroupsAreDisjointAndComplete) {
   ForEachNonEmptySubset(data.full_mask(), [&](DimMask subspace) {
     std::vector<ObjectId> from_groups;
     for (size_t g : cube.GroupsCoveringSubspace(subspace)) {
-      const SkylineGroup& group = cube.groups()[g];
+      const CompressedSkylineCube::GroupView group = cube.group(g);
       from_groups.insert(from_groups.end(), group.members.begin(),
                          group.members.end());
     }
@@ -185,6 +186,88 @@ TEST(CubeEdgeCases, EmptyGroupSetAnswersEmpty) {
   EXPECT_EQ(cube.SkylineCardinality(0b1), 0u);
   EXPECT_FALSE(cube.IsInSubspaceSkyline(0, 0b1));
   EXPECT_EQ(cube.TotalSubspaceSkylineObjects(), 0u);
+}
+
+// A 4-d cube answers through the decisive-subspace index, a 17-d one by
+// scanning the groups; neither may read past its arrays for a subspace with
+// dimensions the cube does not have.
+TEST(CubeEdgeCases, SubspaceBeyondNumDimsAnswersEmpty) {
+  for (int d : {4, 17}) {
+    SyntheticSpec spec;
+    spec.num_objects = 60;
+    spec.num_dims = d;
+    spec.seed = 5;
+    const Dataset data = GenerateSynthetic(spec);
+    const CompressedSkylineCube cube(d, data.num_objects(),
+                                     ComputeStellar(data));
+    for (DimMask subspace :
+         {DimBit(d), data.full_mask() | DimBit(d), DimBit(63) | 1}) {
+      SCOPED_TRACE("d" + std::to_string(d) + " " + FormatMask(subspace));
+      EXPECT_TRUE(cube.SubspaceSkyline(subspace).empty());
+      EXPECT_EQ(cube.SkylineCardinality(subspace), 0u);
+      EXPECT_TRUE(cube.GroupsCoveringSubspace(subspace).empty());
+      EXPECT_FALSE(cube.IsInSubspaceSkyline(0, subspace));
+    }
+  }
+}
+
+// A fired token stops Q1 early on both sides of the index-or-scan rule;
+// whatever was gathered is still ascending and part of the true answer.
+TEST(CubeEdgeCases, FiredTokenGivesAnAscendingPartialAnswer) {
+  for (int d : {5, 17}) {
+    SyntheticSpec spec;
+    spec.distribution = Distribution::kAntiCorrelated;
+    spec.num_objects = 80;
+    spec.num_dims = d;
+    spec.seed = 8;
+    const Dataset data = GenerateSynthetic(spec);
+    const CompressedSkylineCube cube(d, data.num_objects(),
+                                     ComputeStellar(data));
+    const CancelToken token = CancelToken::Cancellable();
+    token.RequestCancel();
+    for (DimMask subspace : {DimMask{0b11}, data.full_mask()}) {
+      SCOPED_TRACE("d" + std::to_string(d) + " " + FormatMask(subspace));
+      const std::vector<ObjectId> whole = cube.SubspaceSkyline(subspace);
+      const std::vector<ObjectId> partial =
+          cube.SubspaceSkyline(subspace, &token);
+      EXPECT_TRUE(std::is_sorted(partial.begin(), partial.end()));
+      EXPECT_TRUE(std::includes(whole.begin(), whole.end(), partial.begin(),
+                                partial.end()));
+      EXPECT_LE(cube.SkylineCardinality(subspace, &token), whole.size());
+    }
+  }
+}
+
+// Unsorted members, decisive lists and groups are laid out in
+// NormalizeGroups' order.
+TEST(CubeEdgeCases, UnnormalizedGroupsAreLaidOutCanonically) {
+  SyntheticSpec spec;
+  spec.num_objects = 300;
+  spec.num_dims = 4;
+  spec.truncate_decimals = 1;
+  spec.seed = 3;
+  const Dataset data = GenerateSynthetic(spec);
+  const SkylineGroupSet normalized = ComputeStellar(data);
+  SkylineGroupSet shuffled = normalized;
+  std::reverse(shuffled.begin(), shuffled.end());
+  for (SkylineGroup& group : shuffled) {
+    std::reverse(group.members.begin(), group.members.end());
+    std::reverse(group.decisive_subspaces.begin(),
+                 group.decisive_subspaces.end());
+  }
+  const CompressedSkylineCube cube(4, data.num_objects(), shuffled);
+  ASSERT_EQ(cube.num_groups(), normalized.size());
+  for (size_t g = 0; g < normalized.size(); ++g) {
+    const CompressedSkylineCube::GroupView group = cube.group(g);
+    EXPECT_TRUE(std::ranges::equal(group.members, normalized[g].members));
+    EXPECT_EQ(group.max_subspace, normalized[g].max_subspace);
+    EXPECT_TRUE(std::ranges::equal(group.decisive_subspaces,
+                                   normalized[g].decisive_subspaces));
+  }
+  ForEachNonEmptySubset(data.full_mask(), [&](DimMask subspace) {
+    EXPECT_EQ(cube.SubspaceSkyline(subspace), ComputeSkyline(data, subspace))
+        << FormatMask(subspace);
+  });
 }
 
 }  // namespace

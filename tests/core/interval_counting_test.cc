@@ -10,6 +10,8 @@
 namespace skycube {
 namespace {
 
+using Lowers = std::vector<DimMask>;
+
 // Brute force: enumerate all non-empty subsets of b.
 uint64_t BruteCount(DimMask b, const std::vector<DimMask>& lowers) {
   uint64_t total = 0;
@@ -41,15 +43,15 @@ std::vector<uint64_t> BruteHistogram(DimMask b,
 
 TEST(IntervalCountingTest, SingleInterval) {
   // [A, ABCD]: all subsets containing A → 2^3 = 8.
-  EXPECT_EQ(CountCoveredSubspaces(0b1111, {0b0001}), 8u);
+  EXPECT_EQ(CountCoveredSubspaces(0b1111, Lowers{0b0001}), 8u);
   // [ABCD, ABCD]: only ABCD itself.
-  EXPECT_EQ(CountCoveredSubspaces(0b1111, {0b1111}), 1u);
+  EXPECT_EQ(CountCoveredSubspaces(0b1111, Lowers{0b1111}), 1u);
 }
 
 TEST(IntervalCountingTest, OverlappingIntervals) {
   // Paper P5 seed group: decisives AB, BD within ABCD.
   // [AB, ABCD] = 4, [BD, ABCD] = 4, intersection [ABD, ABCD] = 2 → 6.
-  EXPECT_EQ(CountCoveredSubspaces(0b1111, {0b0011, 0b1010}), 6u);
+  EXPECT_EQ(CountCoveredSubspaces(0b1111, Lowers{0b0011, 0b1010}), 6u);
 }
 
 TEST(IntervalCountingTest, RandomAgainstBruteForce) {
@@ -90,14 +92,14 @@ TEST(IntervalCountingTest, SosPathKicksInForManyLowers) {
 TEST(IntervalCountingTest, NonContiguousUniverse) {
   // b = {1, 3, 4} (mask 0b11010); lower = {3} (0b01000).
   // Supersets of {3} within b: {3}, {1,3}, {3,4}, {1,3,4} → 4.
-  EXPECT_EQ(CountCoveredSubspaces(0b11010, {0b01000}), 4u);
+  EXPECT_EQ(CountCoveredSubspaces(0b11010, Lowers{0b01000}), 4u);
   // SOS path with the same geometry (pad the lower list with duplicates).
   std::vector<DimMask> many(25, 0b01000);
   EXPECT_EQ(CountCoveredSubspaces(0b11010, many), 4u);
 }
 
 TEST(IntervalCountingTest, SingletonDimension) {
-  EXPECT_EQ(CountCoveredSubspaces(0b1, {0b1}), 1u);
+  EXPECT_EQ(CountCoveredSubspaces(0b1, Lowers{0b1}), 1u);
 }
 
 }  // namespace

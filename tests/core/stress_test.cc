@@ -89,6 +89,20 @@ TEST(StressTest, NbaLikePrefixes) {
   }
 }
 
+// Q1 on both sides of its index-or-scan rule. The 14-dimensional prefix
+// has few groups for its dimensionality, so subspaces with many dimensions
+// take the group scan and the rest the decisive-subspace index; at d = 17
+// every query scans. Skyey's 2^d subspace pass is too slow here, so the
+// oracle is SFS alone.
+TEST(StressTest, NbaLikeQ1OnBothSidesOfTheIndexRule) {
+  const Dataset nba = GenerateNbaLike(4000, 11).Negated();
+  for (int d : {14, 17}) {
+    SCOPED_TRACE("nba/d" + std::to_string(d));
+    const Dataset data = nba.WithPrefixDims(d);
+    ExpectSubspaceSkylinesMatchSfs(data, ComputeStellar(data));
+  }
+}
+
 TEST(StressTest, CoarseIntegerGrid) {
   // Tiny value domains make nearly everything coincide somewhere — the
   // worst case for the grouping machinery.

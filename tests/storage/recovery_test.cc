@@ -385,5 +385,54 @@ TEST(RecoveryTest, DrainThenRecoverReplaysNothing) {
   EXPECT_EQ(recovered.value().maintainer->data().num_objects(), 22u);
 }
 
+TEST(RecoveryTest, DamagedActiveSegmentMagicKeepsLaterAckedRecords) {
+  // Drain checkpoints at LSN 3, so the active segment holds only records
+  // the checkpoint covers; damaging its magic must not cost the inserts
+  // acked after the next open.
+  const std::string dir = FreshDir("rec_damaged_magic");
+  const Dataset bootstrap = MakeData(50, 3, 18);
+  DurableIngestOptions options;
+  options.checkpoint_every = 0;
+  {
+    Result<std::unique_ptr<DurableIngest>> ingest =
+        DurableIngest::Open(dir, &bootstrap, options);
+    ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+    for (const auto& row :
+         {Row(0.3, 0.3, 0.3), Row(0.9, 0.9, 0.9), Row(0.2, 0.6, 0.4)}) {
+      ASSERT_TRUE(ingest.value()->ApplyInsert(row).ok());
+    }
+    ASSERT_TRUE(ingest.value()->Drain().ok());
+  }
+  {
+    std::fstream stream(dir + "/wal-0000000000000001.log",
+                        std::ios::in | std::ios::out | std::ios::binary);
+    char byte = 0;
+    stream.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    stream.seekp(0);
+    stream.write(&byte, 1);
+  }
+  {
+    Result<std::unique_ptr<DurableIngest>> ingest =
+        DurableIngest::Open(dir, nullptr, options);
+    ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+    Result<InsertHandler::Applied> fourth =
+        ingest.value()->ApplyInsert(Row(0.5, 0.1, 0.7));
+    ASSERT_TRUE(fourth.ok());
+    EXPECT_EQ(fourth.value().lsn, 4u);
+    Result<InsertHandler::Applied> fifth =
+        ingest.value()->ApplyInsert(Row(0.05, 0.8, 0.2));
+    ASSERT_TRUE(fifth.ok());
+    EXPECT_EQ(fifth.value().lsn, 5u);
+  }
+  Result<RecoveredState> recovered = RecoverFromDir(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_FALSE(recovered.value().stats.wal_suffix_discarded);
+  EXPECT_EQ(recovered.value().stats.wal_records_replayed, 2u);
+  const IncrementalCubeMaintainer& m = *recovered.value().maintainer;
+  EXPECT_EQ(m.num_live(), 55u);
+  EXPECT_EQ(m.groups(), StellarOverLive(m.data(), m.live()));
+}
+
 }  // namespace
 }  // namespace skycube

@@ -440,6 +440,40 @@ TEST(WalTest, EmptyFinalSegmentIsGracefulNotDamage) {
   EXPECT_EQ(lsn.value(), 7u);
 }
 
+TEST(WalTest, OpenOverDamagedMagicStartsAFreshSegment) {
+  // The last segment lies below next_lsn (a checkpoint covers its records)
+  // but its magic is damaged. Appending into it would put the new records
+  // behind no magic, where the next read discards them.
+  const std::string dir = FreshDir("wal_damaged_magic");
+  {
+    auto wal = OpenAt(dir, 1);
+    ASSERT_TRUE(wal.ok());
+    for (const std::string& payload : Payloads(5)) {
+      ASSERT_TRUE(wal.value()->Append(payload).ok());
+    }
+  }
+  FlipByteAt(dir + "/wal-0000000000000001.log", 0);
+  {
+    auto wal = OpenAt(dir, 6);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_EQ(wal.value()->Append("after-6").value(), 6u);
+    ASSERT_EQ(wal.value()->Append("after-7").value(), 7u);
+  }
+  Result<WalReadResult> read = ReadWal(dir, 5);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_FALSE(read.value().damaged_suffix);
+  ASSERT_EQ(read.value().records.size(), 2u);
+  EXPECT_EQ(read.value().records[0].payload, "after-6");
+  EXPECT_EQ(read.value().records[1].lsn, 7u);
+  // The damaged segment stays on disk for the dump view.
+  Result<std::vector<WalDumpSegment>> dump = DumpWal(dir);
+  ASSERT_TRUE(dump.ok());
+  ASSERT_EQ(dump.value().size(), 2u);
+  EXPECT_FALSE(dump.value()[0].magic_ok);
+  EXPECT_TRUE(dump.value()[1].magic_ok);
+  EXPECT_EQ(dump.value()[1].declared_start, 6u);
+}
+
 TEST(WalTest, EmptyMiddleSegmentIsAHole) {
   // The same zero-byte file anywhere but the end hides records behind it —
   // ReadWal must stop (damaged suffix), never skip the gap.
