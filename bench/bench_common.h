@@ -10,6 +10,8 @@
 #ifndef SKYCUBE_BENCH_BENCH_COMMON_H_
 #define SKYCUBE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +55,24 @@ double TimeIt(Fn&& fn) {
   WallTimer timer;
   fn();
   return timer.ElapsedSeconds();
+}
+
+/// Seconds on the steady clock, for timestamping single operations.
+inline double NowSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// The `p`-quantile (0..1) of latencies in seconds, in microseconds; 0 for
+/// none. Reorders *latencies.
+inline double PercentileUs(std::vector<double>* latencies, double p) {
+  if (latencies->empty()) return 0;
+  const size_t k = static_cast<size_t>(
+      p * static_cast<double>(latencies->size() - 1));
+  std::nth_element(latencies->begin(), latencies->begin() + k,
+                   latencies->end());
+  return (*latencies)[k] * 1e6;
 }
 
 /// Standard header line for a harness.

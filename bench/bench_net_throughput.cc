@@ -28,7 +28,6 @@
 #include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -53,18 +52,16 @@
 #include "service/ingest.h"
 #include "service/request.h"
 #include "service/service.h"
+#include "tools/process_harness.h"
+#include "tools/server_common.h"
 
 namespace skycube::bench {
 namespace {
 
+using harness::Child;
+
 volatile sig_atomic_t g_child_term = 0;
 void OnChildTerm(int) { g_child_term = 1; }
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Offsets into a kResponse payload (see EncodeResponse): the client loop
 /// reads the status and cache-hit bytes directly instead of paying
@@ -82,16 +79,10 @@ Dataset BenchData(const FlagParser& flags) {
 
 // --- Server child ---------------------------------------------------------
 
-struct ChildServer {
-  pid_t pid = -1;
-  uint16_t port = 0;
-};
-
 /// The forked server body: builds its own cube + service + NetServer,
-/// reports the bound port through `port_fd`, serves until SIGTERM, drains,
-/// and exits without returning.
-[[noreturn]] void RunServerChild(int port_fd, const FlagParser& flags,
-                                 bool overload) {
+/// prints the listen line with the bound port, serves until SIGTERM, and
+/// drains. Returns the child's exit status.
+int RunServerChild(const FlagParser& flags, bool overload) {
   signal(SIGTERM, OnChildTerm);
   Dataset data = BenchData(flags);
   IncrementalCubeMaintainer maintainer(std::move(data));
@@ -120,53 +111,20 @@ struct ChildServer {
   if (!started.ok()) {
     std::fprintf(stderr, "bench server child: %s\n",
                  started.ToString().c_str());
-    _exit(3);
+    return 3;
   }
-  const uint16_t port = server.port();
-  if (write(port_fd, &port, sizeof(port)) != ssize_t(sizeof(port))) _exit(3);
-  close(port_fd);
-
+  PrintListenLine(net_options.host, server.port(), "bench server child");
   server.Run([&server] { if (g_child_term != 0) server.BeginDrain(); },
              /*tick_millis=*/50);
   service.BeginDrain();
-  _exit(0);
+  return 0;
 }
 
-/// Forks the server child *before this process creates any threads* and
-/// reads the ephemeral port it bound.
-ChildServer SpawnServer(const FlagParser& flags, bool overload) {
-  int port_pipe[2];
-  if (pipe(port_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    close(port_pipe[0]);
-    RunServerChild(port_pipe[1], flags, overload);
-  }
-  close(port_pipe[1]);
-  ChildServer child;
-  child.pid = pid;
-  uint16_t port = 0;
-  if (read(port_pipe[0], &port, sizeof(port)) != ssize_t(sizeof(port))) {
-    std::fprintf(stderr, "bench: server child died before binding\n");
-    std::exit(1);
-  }
-  close(port_pipe[0]);
-  child.port = port;
-  return child;
-}
-
-int StopServer(ChildServer* child) {
-  kill(child->pid, SIGTERM);
-  int status = 0;
-  waitpid(child->pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+/// Forks the server child *before this process creates any threads*.
+Result<Child> SpawnServer(const FlagParser& flags, bool overload) {
+  return harness::SpawnFunction(
+      [&flags, overload] { return RunServerChild(flags, overload); },
+      harness::Io::kListenLine);
 }
 
 // --- Epoll client driver --------------------------------------------------
@@ -429,15 +387,6 @@ DriveResult DriveLoad(uint16_t port, size_t conns, uint32_t per_conn,
   return result;
 }
 
-double PercentileUs(std::vector<double>* latencies, double p) {
-  if (latencies->empty()) return 0;
-  const size_t k = static_cast<size_t>(
-      p * static_cast<double>(latencies->size() - 1));
-  std::nth_element(latencies->begin(), latencies->begin() + k,
-                   latencies->end());
-  return (*latencies)[k] * 1e6;
-}
-
 // --- Phases ---------------------------------------------------------------
 
 struct InprocBaseline {
@@ -494,11 +443,16 @@ int Main(int argc, char** argv) {
   BenchJson json(flags, "net_throughput");
 
   // Fork both server children before any work (and before any thread) so
-  // fork() never duplicates a running pool.
-  ChildServer server = SpawnServer(flags, /*overload=*/false);
+  // no child starts with a copy of a running pool.
+  Result<Child> spawned = SpawnServer(flags, /*overload=*/false);
+  Child server = spawned.ok() ? spawned.value() : Child{};
   const bool overload = flags.GetBool("overload", true);
-  ChildServer overload_server;
-  if (overload) overload_server = SpawnServer(flags, /*overload=*/true);
+  if (spawned.ok() && overload) spawned = SpawnServer(flags, /*overload=*/true);
+  if (!spawned.ok()) {
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    return 1;
+  }
+  Child overload_server = overload ? spawned.value() : Child{};
   std::printf("server child pid %d on port %u%s\n\n", int(server.pid),
               unsigned(server.port), overload ? " (+overload child)" : "");
 
@@ -558,7 +512,7 @@ int Main(int argc, char** argv) {
   }
   EmitTable(sweep);
   json.AddTable("loopback_sweep", sweep);
-  const int sweep_exit = StopServer(&server);
+  const int sweep_exit = harness::Stop(&server, SIGTERM);
   if (sweep_exit != 0) {
     std::fprintf(stderr, "FAIL sweep server exited %d\n", sweep_exit);
     ++failures;
@@ -609,7 +563,7 @@ int Main(int argc, char** argv) {
       EmitTable(shed);
       json.AddTable("overload", shed);
     }
-    const int overload_exit = StopServer(&overload_server);
+    const int overload_exit = harness::Stop(&overload_server, SIGTERM);
     if (overload_exit != 0) {
       std::fprintf(stderr, "FAIL overload server exited %d\n", overload_exit);
       ++failures;

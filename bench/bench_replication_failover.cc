@@ -42,8 +42,6 @@
 //        --json[=PATH]            machine-readable record
 #include <libgen.h>
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -58,42 +56,35 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/deadline.h"
 #include "common/flags.h"
 #include "common/status.h"
 #include "common/subspace.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "net/client.h"
-#include "net/protocol.h"
 #include "router/router.h"
 #include "service/request.h"
 #include "storage/durable_ingest.h"
 #include "storage/replication.h"
+#include "tools/process_harness.h"
+#include "tools/server_common.h"
 
 namespace skycube::bench {
 namespace {
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using harness::Child;
 
-double PercentileUs(std::vector<double>* latencies, double p) {
-  if (latencies->empty()) return 0;
-  const size_t k = static_cast<size_t>(
-      p * static_cast<double>(latencies->size() - 1));
-  std::nth_element(latencies->begin(), latencies->begin() + k,
-                   latencies->end());
-  return (*latencies)[k] * 1e6;
+/// The base dataset, as the in-process phases generate it and the failover
+/// phase's servers load it.
+SyntheticSpec BaseSpec(const FlagParser& flags) {
+  SyntheticSpec spec;
+  spec.num_objects = static_cast<size_t>(flags.GetInt("tuples", 2000));
+  spec.num_dims = static_cast<int>(flags.GetInt("dims", 6));
+  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  return spec;
 }
 
 Dataset BenchData(const FlagParser& flags) {
-  return PaperSynthetic(Distribution::kIndependent,
-                        static_cast<size_t>(flags.GetInt("tuples", 2000)),
-                        static_cast<int>(flags.GetInt("dims", 6)),
-                        static_cast<uint64_t>(flags.GetInt("seed", 42)));
+  return GenerateSynthetic(BaseSpec(flags));
 }
 
 /// The insert stream (disjoint seed from the base dataset).
@@ -272,98 +263,6 @@ IngestRun RunReplicated(const FlagParser& flags, const Dataset& inserts,
 
 // --- Phase 3: forked serve children + in-process router -------------------
 
-struct Child {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs a skycube_serve and scrapes "listening on HOST:PORT" from
-/// its stderr (the same contract skycube_shardtest relies on).
-Child Spawn(const std::string& binary,
-            const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Child child;
-  child.pid = pid;
-  child.stderr_from = fdopen(err_pipe[0], "r");
-  std::string line;
-  int c;
-  while ((c = std::fgetc(child.stderr_from)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (line.rfind("listening on ", 0) == 0) {
-      const size_t colon = line.rfind(':');
-      child.port = static_cast<uint16_t>(
-          std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-      return child;
-    }
-    line.clear();
-  }
-  std::fprintf(stderr, "FAIL no listen line from %s (last: '%s')\n",
-               binary.c_str(), line.c_str());
-  kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-void Reap(Child* child) {
-  if (child->pid > 0) {
-    kill(child->pid, SIGTERM);
-    int status = 0;
-    waitpid(child->pid, &status, 0);
-    child->pid = -1;
-  }
-  if (child->stderr_from != nullptr) {
-    fclose(child->stderr_from);
-    child->stderr_from = nullptr;
-  }
-}
-
-/// kReplState straight at one server: applied LSN + role.
-bool ReplState(uint16_t port, uint64_t* lsn, std::string* role) {
-  net::NetClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  net::WireRequest request;
-  request.op = net::Opcode::kReplState;
-  request.id = 1;
-  if (!client.SendRequest(request).ok()) return false;
-  net::WireResponse response;
-  std::string error;
-  if (client.ReadResponse(&response, Deadline::AfterMillis(5000), &error) !=
-      net::NetClient::Got::kFrame) {
-    return false;
-  }
-  if (response.status != StatusCode::kOk) return false;
-  *lsn = response.lsn;
-  if (role != nullptr) *role = response.text;
-  return true;
-}
-
 struct FailoverRun {
   bool failed = false;
   double pre_kill_lag = 0;       // records, from the set's state probes
@@ -378,24 +277,28 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
                         const std::string& work_dir) {
   FailoverRun run;
   const int dims = static_cast<int>(flags.GetInt("dims", 6));
-  const std::vector<std::string> source_args = {
-      "--synthetic",
-      "--tuples=" + std::to_string(flags.GetInt("tuples", 2000)),
-      "--dims=" + std::to_string(dims),
-      "--seed=" + std::to_string(flags.GetInt("seed", 42)),
-      "--truncate=4",
-  };
-
-  std::vector<std::string> primary_args = source_args;
+  std::vector<std::string> primary_args = SyntheticFlags(BaseSpec(flags));
   primary_args.push_back("--data-dir=" + work_dir + "/failover-primary");
   primary_args.push_back("--port=0");
-  Child primary = Spawn(serve, primary_args);
-  const std::vector<std::string> replica_args = {
-      "--data-dir=" + work_dir + "/failover-replica",
-      "--replica-of=127.0.0.1:" + std::to_string(primary.port),
-      "--port=0",
-  };
-  Child replica = Spawn(serve, replica_args);
+  Result<Child> spawned =
+      harness::Spawn(serve, primary_args, harness::Io::kListenLine);
+  Child primary;
+  if (spawned.ok()) {
+    primary = spawned.value();
+    const std::vector<std::string> replica_args = {
+        "--data-dir=" + work_dir + "/failover-replica",
+        "--replica-of=127.0.0.1:" + std::to_string(primary.port),
+        "--port=0",
+    };
+    spawned = harness::Spawn(serve, replica_args, harness::Io::kListenLine);
+  }
+  if (!spawned.ok()) {
+    // A primary already running is reaped when this process exits.
+    std::fprintf(stderr, "FAIL %s\n", spawned.status().ToString().c_str());
+    run.failed = true;
+    return run;
+  }
+  Child replica = spawned.value();
   std::printf("primary pid %d port %u, replica pid %d port %u\n",
               static_cast<int>(primary.pid),
               static_cast<unsigned>(primary.port),
@@ -432,8 +335,8 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (NowSeconds() - setup_start > 30.0) {
       std::fprintf(stderr, "FAIL no baseline answer within 30s\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
+      harness::Stop(&primary, SIGTERM);
+      harness::Stop(&replica, SIGTERM);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -443,9 +346,9 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
     std::string role;
-    if (ReplState(primary.port, &primary_lsn, nullptr) &&
-        ReplState(replica.port, &replica_lsn, &role) && role == "replica" &&
-        replica_lsn >= primary_lsn) {
+    if (harness::ReplState(primary.port, &primary_lsn, nullptr) &&
+        harness::ReplState(replica.port, &replica_lsn, &role) &&
+        role == "replica" && replica_lsn >= primary_lsn) {
       run.pre_kill_lag = static_cast<double>(
           primary_lsn > replica_lsn ? primary_lsn - replica_lsn : 0);
       break;
@@ -453,8 +356,8 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (NowSeconds() - setup_start > 30.0) {
       std::fprintf(stderr, "FAIL replica never caught up pre-kill\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
+      harness::Stop(&primary, SIGTERM);
+      harness::Stop(&replica, SIGTERM);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -462,10 +365,7 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
 
   // Kill the primary, then hammer the same query until the answer is
   // complete and baseline-identical again.
-  kill(primary.pid, SIGKILL);
-  int status = 0;
-  waitpid(primary.pid, &status, 0);
-  primary.pid = -1;
+  harness::Stop(&primary, SIGKILL);
   const double t0 = NowSeconds();
   bool detected = false;
   bool promoted = false;
@@ -489,8 +389,8 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     if (now - t0 > 60.0) {
       std::fprintf(stderr, "FAIL no complete answer within 60s of kill\n");
       run.failed = true;
-      Reap(&primary);
-      Reap(&replica);
+      harness::Stop(&primary, SIGTERM);
+      harness::Stop(&replica, SIGTERM);
       return run;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -515,8 +415,8 @@ FailoverRun RunFailover(const FlagParser& flags, const std::string& serve,
     run.failed = true;
   }
 
-  Reap(&primary);
-  Reap(&replica);
+  harness::Stop(&primary, SIGTERM);
+  harness::Stop(&replica, SIGTERM);
   return run;
 }
 

@@ -67,9 +67,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-SOURCE_GLOBS = ("src/**/*.h", "src/**/*.cc", "tools/**/*.cc", "bench/**/*.h",
-                "bench/**/*.cc", "tests/**/*.cc", "fuzz/**/*.h",
-                "fuzz/**/*.cc")
+SOURCE_GLOBS = ("src/**/*.h", "src/**/*.cc", "tools/**/*.h", "tools/**/*.cc",
+                "bench/**/*.h", "bench/**/*.cc", "tests/**/*.cc",
+                "fuzz/**/*.h", "fuzz/**/*.cc")
 
 FAULT_POINT_RE = re.compile(r'SKYCUBE_FAULT_POINT\("([^"]+)"\)')
 ARMED_RE = re.compile(r'(?:ArmFailure|ArmDelay|Disarm|HitCount)\("([^"]+)"')

@@ -21,12 +21,10 @@
 // Usage (registered as a ctest test):
 //   skycube_crashtest --serve=PATH --work-dir=DIR [--rounds=N]
 //     [--inserts=N] [--tuples=N] [--dims=D] [--seed=S] [--no-faults]
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,142 +34,40 @@
 
 #include "common/fault_injection.h"
 #include "common/flags.h"
+#include "common/rng.h"
 #include "core/maintenance.h"
 #include "core/skyline_group.h"
 #include "core/stellar.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 #include "storage/recovery.h"
+#include "tools/process_harness.h"
+#include "tools/server_common.h"
 
 namespace skycube {
 namespace {
 
-int g_failures = 0;
+using harness::Child;
+using harness::ReadLine;
 
-#define CHECK_ROUND(cond, ...)                       \
-  do {                                               \
-    if (!(cond)) {                                   \
-      std::fprintf(stderr, "FAIL [%s] ", round_tag); \
-      std::fprintf(stderr, __VA_ARGS__);             \
-      std::fprintf(stderr, "\n");                    \
-      ++g_failures;                                  \
-      return;                                        \
-    }                                                \
-  } while (0)
-
-/// xorshift64* — deterministic across platforms.
-struct Rng {
-  uint64_t state;
-  uint64_t Next() {
-    state ^= state >> 12;
-    state ^= state << 25;
-    state ^= state >> 27;
-    return state * 2685821657736338717ull;
-  }
-  uint64_t Bounded(uint64_t n) { return n == 0 ? 0 : Next() % n; }
-};
-
-struct Child {
-  pid_t pid = -1;
-  FILE* to = nullptr;    // child's stdin
-  FILE* from = nullptr;  // child's stdout
-};
-
-/// Forks + execs the server; stdin/stdout piped, stderr silenced. `faults`
-/// lands in SKYCUBE_ARM_FAULTS (empty = unset).
-Child Spawn(const std::string& serve, const std::vector<std::string>& args,
-            const std::string& faults) {
-  int to_child[2], from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    // Post-fork child setup: no storage-layer durability involved.
-    const int devnull = open("/dev/null", O_WRONLY);  // lint:allow-raw-io
-    if (devnull >= 0) dup2(devnull, STDERR_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    if (faults.empty()) {
-      unsetenv("SKYCUBE_ARM_FAULTS");
-    } else {
-      setenv("SKYCUBE_ARM_FAULTS", faults.c_str(), 1);
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);  // program name + args + trailing null
-    argv.push_back(const_cast<char*>(serve.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(serve.c_str(), argv.data());
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-  Child child;
-  child.pid = pid;
-  child.to = fdopen(to_child[1], "w");
-  child.from = fdopen(from_child[0], "r");
-  return child;
-}
-
-/// Reads one line (without '\n'); false on EOF.
-bool ReadLine(FILE* from, std::string* line) {
-  line->clear();
-  int c;
-  while ((c = std::fgetc(from)) != EOF) {
-    if (c == '\n') return true;
-    line->push_back(static_cast<char>(c));
-  }
-  return !line->empty();
-}
-
-/// Waits for the child; >=0 exit status, or -SIG when signal-terminated.
-int Wait(Child* child) {
-  if (child->to != nullptr) fclose(child->to);
-  int status = 0;
-  waitpid(child->pid, &status, 0);
-  if (child->from != nullptr) fclose(child->from);
-  child->to = nullptr;
-  child->from = nullptr;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1000;
-}
+/// HARNESS_CHECK with the enclosing round's `round_tag` before the message.
+#define CHECK_ROUND(cond, format, ...) \
+  HARNESS_CHECK(cond, "[%s] " format, round_tag __VA_OPT__(, ) __VA_ARGS__)
 
 struct Config {
   std::string serve;
   std::string work_dir;
-  int tuples = 50;
-  int dims = 4;
-  uint64_t seed = 11;
+  /// The rows every round bootstraps its server from.
+  SyntheticSpec source;
   int inserts = 12;
   int checkpoint_every = 4;
 };
 
-/// The synthetic bootstrap — must match the flags SpawnBootstrap passes.
-Dataset GoldenBootstrap(const Config& config) {
-  SyntheticSpec spec;
-  spec.distribution = Distribution::kCorrelated;
-  spec.num_objects = static_cast<size_t>(config.tuples);
-  spec.num_dims = config.dims;
-  spec.seed = config.seed;
-  spec.truncate_decimals = 4;
-  return GenerateSynthetic(spec);
-}
-
-std::vector<std::string> ServerArgs(const Config& config,
-                                    const std::string& dir, bool bootstrap) {
+/// Spawns a server on `dir` with stdin/stdout piped. `bootstrap` loads the
+/// synthetic source into a fresh directory; `faults` arms fault points.
+bool StartServer(const char* round_tag, const Config& config,
+                 const std::string& dir, bool bootstrap,
+                 const std::string& faults, Child* child) {
   std::vector<std::string> args = {
       "--data-dir=" + dir,
       "--fsync-policy=always",
@@ -179,14 +75,15 @@ std::vector<std::string> ServerArgs(const Config& config,
       "--cache-capacity=256",
   };
   if (bootstrap) {
-    args.push_back("--synthetic");
-    args.push_back("--dist=correlated");
-    args.push_back("--tuples=" + std::to_string(config.tuples));
-    args.push_back("--dims=" + std::to_string(config.dims));
-    args.push_back("--seed=" + std::to_string(config.seed));
-    args.push_back("--truncate=4");
+    for (const std::string& flag : SyntheticFlags(config.source)) {
+      args.push_back(flag);
+    }
   }
-  return args;
+  Result<Child> spawned =
+      harness::Spawn(config.serve, args, harness::Io::kPipes, faults);
+  CHECK_ROUND(spawned.ok(), "%s", spawned.status().ToString().c_str());
+  *child = spawned.value();
+  return true;
 }
 
 /// One insert row as protocol text. The golden double values are recovered
@@ -195,14 +92,14 @@ std::vector<std::string> ServerArgs(const Config& config,
 /// earlier row (path 1), ~1/10 strongly dominating rows (path 4).
 std::string MakeInsertText(Rng* rng, int dims,
                            const std::vector<std::string>* sent) {
-  if (!sent->empty() && rng->Bounded(6) == 0) {
-    return (*sent)[rng->Bounded(sent->size())];
+  if (!sent->empty() && rng->NextBounded(6) == 0) {
+    return (*sent)[rng->NextBounded(sent->size())];
   }
-  const bool dominator = rng->Bounded(10) == 0;
+  const bool dominator = rng->NextBounded(10) == 0;
   std::string text;
   for (int d = 0; d < dims; ++d) {
-    const uint64_t cell = dominator ? rng->Bounded(40)
-                                    : 200 + rng->Bounded(9800);
+    const uint64_t cell = dominator ? rng->NextBounded(40)
+                                    : 200 + rng->NextBounded(9800);
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "0.%04llu",
                   static_cast<unsigned long long>(cell));
@@ -224,10 +121,61 @@ std::vector<double> ParseRow(const std::string& text) {
   return row;
 }
 
+/// Sends `count` new insert rows one at a time, each acknowledged before
+/// the next, and appends them to *sent.
+bool InsertAcked(const char* round_tag, const Config& config, Child* child,
+                 int count, Rng* rng, std::vector<std::string>* sent) {
+  std::string line;
+  for (int i = 0; i < count; ++i) {
+    sent->push_back(MakeInsertText(rng, config.source.num_dims, sent));
+    std::fprintf(child->to, "insert %s\n", sent->back().c_str());
+    std::fflush(child->to);
+    CHECK_ROUND(ReadLine(child->from, &line) && line.rfind("ok path=", 0) == 0,
+                "insert answered: %s", line.c_str());
+  }
+  return true;
+}
+
+/// Waits until the child has bootstrapped, pipelines every line of
+/// `script` to it, SIGKILLs it after a random number of acknowledgements,
+/// and reaps it. *acked counts the acknowledgements read, those the child
+/// wrote before it died included.
+bool PipelineAndKill(const char* round_tag, Child* child,
+                     const std::vector<std::string>& script, Rng* rng,
+                     size_t* acked) {
+  // The REPL answers only after the bootstrap checkpoint is on disk. A
+  // kill before that leaves no directory to recover.
+  std::string line;
+  std::fprintf(child->to, "health\n");
+  std::fflush(child->to);
+  CHECK_ROUND(ReadLine(child->from, &line) &&
+                  line.rfind("ok status=ready", 0) == 0,
+              "server not ready before the kill: %s", line.c_str());
+  for (const std::string& op : script) {
+    std::fprintf(child->to, "%s\n", op.c_str());
+  }
+  std::fflush(child->to);
+  const size_t kill_after = rng->NextBounded(script.size() + 1);
+  *acked = 0;
+  while (*acked < kill_after && ReadLine(child->from, &line)) {
+    CHECK_ROUND(line.rfind("ok path=", 0) == 0, "mutation answered: %s",
+                line.c_str());
+    ++*acked;
+  }
+  kill(child->pid, SIGKILL);
+  while (ReadLine(child->from, &line)) {
+    if (line.rfind("ok path=", 0) == 0) ++*acked;
+  }
+  const int code = harness::Wait(child);
+  CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
+              code);
+  return true;
+}
+
 /// Recovers `dir` in-process and enforces the invariant against the
 /// bootstrap + the sent rows, of which at least `min_acked` must be present.
 /// Returns the recovery stats through *out (may be null).
-void VerifyRecovery(const char* round_tag, const Config& config,
+bool VerifyRecovery(const char* round_tag, const Config& config,
                     const std::string& dir,
                     const std::vector<std::string>& sent, size_t min_acked,
                     RecoveryStats* out) {
@@ -236,7 +184,7 @@ void VerifyRecovery(const char* round_tag, const Config& config,
               recovered.status().ToString().c_str());
   const IncrementalCubeMaintainer& maintainer = *recovered.value().maintainer;
   const Dataset& data = maintainer.data();
-  const size_t bootstrap_rows = static_cast<size_t>(config.tuples);
+  const size_t bootstrap_rows = config.source.num_objects;
   CHECK_ROUND(data.num_objects() >= bootstrap_rows &&
                   static_cast<size_t>(data.num_objects()) <=
                       bootstrap_rows + sent.size(),
@@ -249,13 +197,13 @@ void VerifyRecovery(const char* round_tag, const Config& config,
               min_acked);
 
   // Golden: bootstrap + exactly that prefix, bit-for-bit.
-  Dataset golden = GoldenBootstrap(config);
+  Dataset golden = GenerateSynthetic(config.source);
   for (size_t i = 0; i < prefix; ++i) {
     golden.AddRow(ParseRow(sent[i]));
   }
   for (ObjectId id = 0; id < data.num_objects(); ++id) {
     CHECK_ROUND(std::memcmp(data.Row(id), golden.Row(id),
-                            sizeof(double) * config.dims) == 0,
+                            sizeof(double) * config.source.num_dims) == 0,
                 "recovered row %llu differs from the sent sequence",
                 static_cast<unsigned long long>(id));
   }
@@ -268,24 +216,29 @@ void VerifyRecovery(const char* round_tag, const Config& config,
   std::fprintf(stderr, "ok   [%s] acked>=%zu recovered=%zu/%zu groups=%zu\n",
                round_tag, min_acked, prefix, sent.size(),
                maintainer.groups().size());
+  return true;
 }
 
 /// Restarts a server on the recovered directory and checks it serves.
-void VerifyServeable(const char* round_tag, const Config& config,
+bool VerifyServeable(const char* round_tag, const Config& config,
                      const std::string& dir) {
-  Child child = Spawn(config.serve, ServerArgs(config, dir, false), "");
+  Child child;
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/false, "", &child)) {
+    return false;
+  }
   std::fprintf(child.to, "health\ntotal\nquit\n");
   std::fflush(child.to);
   std::string health, total;
   CHECK_ROUND(ReadLine(child.from, &health) && ReadLine(child.from, &total),
               "restarted server died before answering");
-  const int code = Wait(&child);
+  const int code = harness::Wait(&child);
   CHECK_ROUND(code == 0, "restarted server exited %d", code);
   CHECK_ROUND(health.find("ok status=ready") == 0 &&
                   health.find("recovered=1") != std::string::npos,
               "bad health after restart: %s", health.c_str());
   CHECK_ROUND(total.rfind("ok count=", 0) == 0, "bad query after restart: %s",
               total.c_str());
+  return true;
 }
 
 /// One scripted mutation of a mixed round: an insert (protocol value text)
@@ -301,57 +254,42 @@ struct MutationOp {
 /// recovered (rows, liveness) state is bootstrap + an exact PREFIX of the
 /// op sequence containing every acked op — with the recovered groups equal
 /// to ComputeStellar over exactly the live rows of that prefix.
-void RunMixedKillRound(const Config& config, int round, Rng* rng) {
+bool RunMixedKillRound(const Config& config, int round, Rng* rng) {
   char round_tag[32];
   std::snprintf(round_tag, sizeof(round_tag), "mixed-%d", round);
   const std::string dir = config.work_dir + "/" + round_tag;
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  Child child;
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/true, "", &child)) {
+    return false;
+  }
 
   // Script the ops up front. Deletes target any id that exists at that
   // point in the sequence — including bootstrap rows, rows a later op will
   // delete again (an idempotent no-op), and never-yet-acked inserts.
   std::vector<MutationOp> ops;
   std::vector<std::string> sent_inserts;
+  std::vector<std::string> script;
   const int num_ops = config.inserts + config.inserts / 2;
-  size_t rows_so_far = static_cast<size_t>(config.tuples);
+  size_t rows_so_far = config.source.num_objects;
   for (int i = 0; i < num_ops; ++i) {
     MutationOp op;
-    if (rng->Bounded(3) == 0) {
+    if (rng->NextBounded(3) == 0) {
       op.is_delete = true;
-      op.target = static_cast<ObjectId>(rng->Bounded(rows_so_far));
+      op.target = static_cast<ObjectId>(
+          rng->NextBounded(std::max<size_t>(rows_so_far, 1)));
+      script.push_back("delete " + std::to_string(op.target));
     } else {
-      op.insert_text = MakeInsertText(rng, config.dims, &sent_inserts);
+      op.insert_text =
+          MakeInsertText(rng, config.source.num_dims, &sent_inserts);
       sent_inserts.push_back(op.insert_text);
+      script.push_back("insert " + op.insert_text);
       ++rows_so_far;
     }
     ops.push_back(std::move(op));
   }
-  for (const MutationOp& op : ops) {
-    if (op.is_delete) {
-      std::fprintf(child.to, "delete %llu\n",
-                   static_cast<unsigned long long>(op.target));
-    } else {
-      std::fprintf(child.to, "insert %s\n", op.insert_text.c_str());
-    }
-  }
-  std::fflush(child.to);
-
-  const size_t kill_after = rng->Bounded(ops.size() + 1);
   size_t acked = 0;
-  std::string line;
-  while (acked < kill_after && ReadLine(child.from, &line)) {
-    CHECK_ROUND(line.rfind("ok path=", 0) == 0, "mutation answered: %s",
-                line.c_str());
-    ++acked;
-  }
-  kill(child.pid, SIGKILL);
-  while (ReadLine(child.from, &line)) {
-    if (line.rfind("ok path=", 0) == 0) ++acked;
-  }
-  const int code = Wait(&child);
-  CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
-              code);
+  if (!PipelineAndKill(round_tag, &child, script, rng, &acked)) return false;
 
   Result<RecoveredState> recovered = RecoverFromDir(dir);
   CHECK_ROUND(recovered.ok(), "recovery failed: %s",
@@ -363,7 +301,7 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
   // the recovered one exactly. No-op deletes are not WAL-logged, so the
   // recovered state equals *some* op prefix — and every acked op must be in
   // it.
-  Dataset golden = GoldenBootstrap(config);
+  Dataset golden = GenerateSynthetic(config.source);
   std::vector<uint8_t> live(golden.num_objects(), 1);
   bool matched = false;
   size_t prefix = 0;
@@ -374,7 +312,7 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
     for (ObjectId id = 0; id < data.num_objects(); ++id) {
       if ((maintainer.live()[id] != 0) != (live[id] != 0)) return false;
       if (std::memcmp(data.Row(id), golden.Row(id),
-                      sizeof(double) * config.dims) != 0) {
+                      sizeof(double) * config.source.num_dims) != 0) {
         return false;
       }
     }
@@ -410,7 +348,7 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
               prefix);
   std::fprintf(stderr, "ok   [%s] acked>=%zu prefix=%zu/%zu live=%zu\n",
                round_tag, acked, prefix, ops.size(), maintainer.num_live());
-  if (g_failures == 0) VerifyServeable(round_tag, config, dir);
+  return VerifyServeable(round_tag, config, dir);
 }
 
 /// Expiry-SIGKILL round: ingest rows (stamped with real wall time), fire a
@@ -419,32 +357,27 @@ void RunMixedKillRound(const Config& config, int round, Rng* rng) {
 /// must be self-consistent: bootstrap rows (timestamp 0) all live, every
 /// row's values golden, and groups == Stellar over exactly the recovered
 /// live rows — whatever subset of the expiry got logged.
-void RunExpiryKillRound(const Config& config, Rng* rng) {
+bool RunExpiryKillRound(const Config& config, Rng* rng) {
   const char* round_tag = "expiry-kill";
   const std::string dir = config.work_dir + "/expiry-kill";
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
-
+  Child child;
   std::vector<std::string> sent;
-  std::string line;
-  for (int i = 0; i < config.inserts; ++i) {
-    sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
-                "insert answered: %s", line.c_str());
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/true, "", &child) ||
+      !InsertAcked(round_tag, config, &child, config.inserts, rng, &sent)) {
+    return false;
   }
   // A far-future cutoff expires every timestamped row; SIGKILL races the
   // pass (sometimes before it starts, sometimes mid-log, sometimes after).
   std::fprintf(child.to, "expire 9999999999999\n");
   std::fflush(child.to);
-  if (rng->Bounded(2) == 0) {
+  if (rng->NextBounded(2) == 0) {
+    std::string line;
     CHECK_ROUND(ReadLine(child.from, &line) &&
                     line.rfind("ok expired=", 0) == 0,
                 "expire answered: %s", line.c_str());
   }
-  kill(child.pid, SIGKILL);
-  const int code = Wait(&child);
+  const int code = harness::Stop(&child, SIGKILL);
   CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
               code);
 
@@ -453,17 +386,17 @@ void RunExpiryKillRound(const Config& config, Rng* rng) {
               recovered.status().ToString().c_str());
   const IncrementalCubeMaintainer& maintainer = *recovered.value().maintainer;
   const Dataset& data = maintainer.data();
-  const size_t bootstrap_rows = static_cast<size_t>(config.tuples);
+  const size_t bootstrap_rows = config.source.num_objects;
   CHECK_ROUND(static_cast<size_t>(data.num_objects()) ==
                   bootstrap_rows + sent.size(),
               "recovered %zu rows, want %zu",
               static_cast<size_t>(data.num_objects()),
               bootstrap_rows + sent.size());
-  Dataset golden = GoldenBootstrap(config);
+  Dataset golden = GenerateSynthetic(config.source);
   for (const std::string& row : sent) golden.AddRow(ParseRow(row));
   for (ObjectId id = 0; id < data.num_objects(); ++id) {
     CHECK_ROUND(std::memcmp(data.Row(id), golden.Row(id),
-                            sizeof(double) * config.dims) == 0,
+                            sizeof(double) * config.source.num_dims) == 0,
                 "recovered row %llu differs from the sent sequence",
                 static_cast<unsigned long long>(id));
     if (static_cast<size_t>(id) < bootstrap_rows) {
@@ -480,129 +413,107 @@ void RunExpiryKillRound(const Config& config, Rng* rng) {
   std::fprintf(stderr, "ok   [%s] live=%zu of %zu rows after expiry crash\n",
                round_tag, maintainer.num_live(),
                static_cast<size_t>(data.num_objects()));
-  if (g_failures == 0) VerifyServeable(round_tag, config, dir);
+  return VerifyServeable(round_tag, config, dir);
 }
 
 /// Random-SIGKILL round: pipeline all inserts, kill after a random number
 /// of acknowledgements, drain the pipe (late acks still count), verify.
-void RunKillRound(const Config& config, int round, Rng* rng) {
+bool RunKillRound(const Config& config, int round, Rng* rng) {
   char round_tag[32];
   std::snprintf(round_tag, sizeof(round_tag), "kill-%d", round);
   const std::string dir = config.work_dir + "/" + round_tag;
   std::filesystem::remove_all(dir);  // a rerun must bootstrap fresh
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
-
+  Child child;
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/true, "", &child)) {
+    return false;
+  }
   std::vector<std::string> sent;
-  sent.reserve(config.inserts);
+  std::vector<std::string> script;
   for (int i = 0; i < config.inserts; ++i) {
-    sent.push_back(MakeInsertText(rng, config.dims, &sent));
+    sent.push_back(MakeInsertText(rng, config.source.num_dims, &sent));
+    script.push_back("insert " + sent.back());
   }
-  for (const std::string& row : sent) {
-    std::fprintf(child.to, "insert %s\n", row.c_str());
-  }
-  std::fflush(child.to);
-
-  const size_t kill_after = rng->Bounded(sent.size() + 1);
   size_t acked = 0;
-  std::string line;
-  while (acked < kill_after && ReadLine(child.from, &line)) {
-    CHECK_ROUND(line.rfind("ok path=", 0) == 0, "insert answered: %s",
-                line.c_str());
-    ++acked;
-  }
-  kill(child.pid, SIGKILL);
-  // Acks the child wrote before dying are still acknowledgements.
-  while (ReadLine(child.from, &line)) {
-    if (line.rfind("ok path=", 0) == 0) ++acked;
-  }
-  const int code = Wait(&child);
-  CHECK_ROUND(code == -SIGKILL || code == 0, "child exited %d, expected kill",
-              code);
-
-  RecoveryStats stats;
-  VerifyRecovery(round_tag, config, dir, sent, acked, &stats);
-  if (g_failures == 0) VerifyServeable(round_tag, config, dir);
+  return PipelineAndKill(round_tag, &child, script, rng, &acked) &&
+         VerifyRecovery(round_tag, config, dir, sent, acked, nullptr) &&
+         VerifyServeable(round_tag, config, dir);
 }
 
 /// Graceful-drain round: SIGTERM must flush + checkpoint, so recovery
 /// replays zero WAL records and loses nothing.
-void RunSigtermRound(const Config& config, Rng* rng) {
+bool RunSigtermRound(const Config& config, Rng* rng) {
   const char* round_tag = "sigterm";
   const std::string dir = config.work_dir + "/sigterm";
   std::filesystem::remove_all(dir);
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  Child child;
   std::vector<std::string> sent;
-  sent.reserve(config.inserts);
-  std::string line;
-  for (int i = 0; i < config.inserts; ++i) {
-    sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
-                "insert answered: %s", line.c_str());
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/true, "", &child) ||
+      !InsertAcked(round_tag, config, &child, config.inserts, rng, &sent)) {
+    return false;
   }
-  kill(child.pid, SIGTERM);
-  const int code = Wait(&child);  // also closes its stdin
+  const int code = harness::Stop(&child, SIGTERM);  // also closes its stdin
   CHECK_ROUND(code == 0, "SIGTERM drain exited %d, expected 0", code);
 
   RecoveryStats stats;
-  VerifyRecovery(round_tag, config, dir, sent, sent.size(), &stats);
+  if (!VerifyRecovery(round_tag, config, dir, sent, sent.size(), &stats)) {
+    return false;
+  }
   CHECK_ROUND(stats.wal_records_replayed == 0,
               "drain left %llu unreplayed wal records (no final checkpoint?)",
               static_cast<unsigned long long>(stats.wal_records_replayed));
+  return true;
 }
 
 /// Fault-point round: ingest `warmup` rows cleanly, quit, restart with an
 /// armed crash point, and detonate it with one more insert. `acked_extra`
 /// says whether the detonating row must survive (it hit the WAL before the
 /// crash point) or must not (the crash precedes durability).
-void RunFaultRound(const Config& config, Rng* rng, const char* fault,
+bool RunFaultRound(const Config& config, Rng* rng, const char* fault,
                    int checkpoint_every, bool extra_must_survive,
                    bool extra_may_survive) {
   const char* round_tag = fault;
   const std::string dir = config.work_dir + "/fault-" + fault;
   std::filesystem::remove_all(dir);
   // Warmup on a clean server.
-  Child child = Spawn(config.serve, ServerArgs(config, dir, true), "");
+  Child child;
   std::vector<std::string> sent;
-  std::string line;
-  const int warmup = 3 + static_cast<int>(rng->Bounded(4));
-  sent.reserve(warmup);
-  for (int i = 0; i < warmup; ++i) {
-    sent.push_back(MakeInsertText(rng, config.dims, &sent));
-    std::fprintf(child.to, "insert %s\n", sent.back().c_str());
-    std::fflush(child.to);
-    CHECK_ROUND(ReadLine(child.from, &line) && line.rfind("ok path=", 0) == 0,
-                "warmup insert answered: %s", line.c_str());
+  const int warmup = 3 + static_cast<int>(rng->NextBounded(4));
+  if (!StartServer(round_tag, config, dir, /*bootstrap=*/true, "", &child) ||
+      !InsertAcked(round_tag, config, &child, warmup, rng, &sent)) {
+    return false;
   }
   std::fprintf(child.to, "quit\n");
   std::fflush(child.to);
-  int code = Wait(&child);
+  int code = harness::Wait(&child);
   CHECK_ROUND(code == 0, "warmup server exited %d", code);
 
   // Detonation: restart with the fault armed; the next insert crashes the
   // child inside the fault point (std::_Exit(42)) before it can answer.
   Config armed = config;
   armed.checkpoint_every = checkpoint_every;
-  child = Spawn(config.serve, ServerArgs(armed, dir, false),
-                std::string(fault) + "=1");
-  sent.push_back(MakeInsertText(rng, config.dims, &sent));
+  if (!StartServer(round_tag, armed, dir, /*bootstrap=*/false,
+                   std::string(fault) + "=1", &child)) {
+    return false;
+  }
+  sent.push_back(MakeInsertText(rng, config.source.num_dims, &sent));
   std::fprintf(child.to, "insert %s\n", sent.back().c_str());
   std::fflush(child.to);
+  std::string line;
   const bool got_ack = ReadLine(child.from, &line);
   CHECK_ROUND(!got_ack, "armed %s did not crash; answered: %s", fault,
               line.c_str());
-  code = Wait(&child);
+  code = harness::Wait(&child);
   CHECK_ROUND(code == 42, "armed %s exited %d, expected 42", fault, code);
 
   RecoveryStats stats;
-  VerifyRecovery(round_tag, config, dir, sent,
-                 static_cast<size_t>(warmup), &stats);
-  if (g_failures > 0) return;
+  if (!VerifyRecovery(round_tag, config, dir, sent,
+                      static_cast<size_t>(warmup), &stats)) {
+    return false;
+  }
   // Each replayed WAL record is one row on top of the checkpoint.
   const size_t prefix = static_cast<size_t>(stats.checkpoint_rows) +
                         stats.wal_records_replayed -
-                        static_cast<size_t>(config.tuples);
+                        config.source.num_objects;
   if (extra_must_survive) {
     CHECK_ROUND(prefix == sent.size(),
                 "%s: the WAL-durable detonating row was lost (prefix %zu)",
@@ -612,6 +523,7 @@ void RunFaultRound(const Config& config, Rng* rng, const char* fault,
                 "%s: the never-durable detonating row survived (prefix %zu)",
                 fault, prefix);
   }
+  return true;
 }
 
 int Run(const FlagParser& flags) {
@@ -619,9 +531,10 @@ int Run(const FlagParser& flags) {
   Config config;
   config.serve = flags.GetString("serve", "");
   config.work_dir = flags.GetString("work-dir", "/tmp/skycube_crashtest");
-  config.tuples = static_cast<int>(flags.GetInt("tuples", 50));
-  config.dims = static_cast<int>(flags.GetInt("dims", 4));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  config.source.distribution = Distribution::kCorrelated;
+  config.source.num_objects = static_cast<size_t>(flags.GetInt("tuples", 50));
+  config.source.num_dims = static_cast<int>(flags.GetInt("dims", 4));
+  config.source.seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
   config.inserts = static_cast<int>(flags.GetInt("inserts", 12));
   if (config.serve.empty()) {
     std::fprintf(stderr,
@@ -631,7 +544,7 @@ int Run(const FlagParser& flags) {
   }
   mkdir(config.work_dir.c_str(), 0775);
 
-  Rng rng{config.seed * 2654435761u + 1};
+  Rng rng(config.source.seed);
   const int rounds = static_cast<int>(flags.GetInt("rounds", 5));
   for (int round = 0; round < rounds; ++round) {
     RunKillRound(config, round, &rng);
@@ -665,13 +578,7 @@ int Run(const FlagParser& flags) {
                  FaultInjection::Enabled() ? "disabled by flag"
                                            : "not compiled in");
   }
-
-  if (g_failures == 0) {
-    std::fprintf(stderr, "skycube_crashtest: all rounds passed\n");
-    return 0;
-  }
-  std::fprintf(stderr, "skycube_crashtest: %d failure(s)\n", g_failures);
-  return 1;
+  return harness::Report("skycube_crashtest");
 }
 
 }  // namespace

@@ -19,11 +19,8 @@
 // Usage (registered as a ctest test):
 //   skycube_nettest --serve=PATH [--tuples=N] [--dims=D] [--seed=S]
 #include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,90 +28,13 @@
 #include "common/flags.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "tools/process_harness.h"
+#include "tools/server_common.h"
 
 namespace skycube {
 namespace {
 
-int g_failures = 0;
-
-#define CHECK_NET(cond, ...)                      \
-  do {                                            \
-    if (!(cond)) {                                \
-      std::fprintf(stderr, "FAIL ");              \
-      std::fprintf(stderr, __VA_ARGS__);          \
-      std::fprintf(stderr, "\n");                 \
-      ++g_failures;                               \
-      return false;                               \
-    }                                             \
-  } while (0)
-
-struct Server {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs skycube_serve in socket mode on an ephemeral port and
-/// scrapes the bound port from its stderr.
-Server SpawnServer(const std::string& serve,
-                   const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(serve.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(serve.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Server server;
-  server.pid = pid;
-  server.stderr_from = fdopen(err_pipe[0], "r");
-
-  // The listen line is the first thing socket mode prints.
-  std::string line;
-  int c;
-  while ((c = std::fgetc(server.stderr_from)) != EOF && c != '\n') {
-    line.push_back(static_cast<char>(c));
-  }
-  const size_t colon = line.rfind(':');
-  if (line.rfind("listening on ", 0) != 0 || colon == std::string::npos) {
-    std::fprintf(stderr, "no listen line from server (got: '%s')\n",
-                 line.c_str());
-    kill(pid, SIGKILL);
-    std::exit(1);
-  }
-  server.port = static_cast<uint16_t>(
-      std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-  return server;
-}
-
-/// Waits for the child; >=0 exit status, or -SIG when signal-terminated.
-int WaitServer(Server* server) {
-  int status = 0;
-  waitpid(server->pid, &status, 0);
-  if (server->stderr_from != nullptr) fclose(server->stderr_from);
-  server->stderr_from = nullptr;
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return -WTERMSIG(status);
-  return -1000;
-}
+using harness::Child;
 
 /// The harness speaks the wire through the shared src/net client. A hung
 /// server fails the harness via the read deadline instead of wedging ctest.
@@ -200,102 +120,103 @@ std::string MixedBurst(uint64_t count, int dims, uint64_t first_id = 0) {
 
 bool RunPipelineRound(uint16_t port, int dims) {
   net::NetClient client;
-  CHECK_NET(Connect(&client, port), "pipeline: connect failed");
+  HARNESS_CHECK(Connect(&client, port), "pipeline: connect failed");
 
   constexpr uint64_t kRequests = 120;
-  CHECK_NET(client.Send(MixedBurst(kRequests, dims)).ok(),
-            "pipeline: send failed");
+  HARNESS_CHECK(client.Send(MixedBurst(kRequests, dims)).ok(),
+                "pipeline: send failed");
 
   uint64_t last_version = 0;
   for (uint64_t id = 0; id < kRequests; ++id) {
     std::string payload;
-    CHECK_NET(ReadPayload(&client, &payload) == Got::kPayload,
-              "pipeline: stream ended at response %llu",
-              static_cast<unsigned long long>(id));
-    CHECK_NET(net::PayloadOpcode(payload) == net::Opcode::kResponse,
-              "pipeline: unexpected opcode at response %llu",
-              static_cast<unsigned long long>(id));
+    HARNESS_CHECK(ReadPayload(&client, &payload) == Got::kPayload,
+                  "pipeline: stream ended at response %llu",
+                  static_cast<unsigned long long>(id));
+    HARNESS_CHECK(net::PayloadOpcode(payload) == net::Opcode::kResponse,
+                  "pipeline: unexpected opcode at response %llu",
+                  static_cast<unsigned long long>(id));
     Result<net::WireResponse> decoded = net::ParseResponse(payload);
-    CHECK_NET(decoded.ok(), "pipeline: bad response: %s",
-              decoded.status().ToString().c_str());
+    HARNESS_CHECK(decoded.ok(), "pipeline: bad response: %s",
+                  decoded.status().ToString().c_str());
     const net::WireResponse& response = decoded.value();
-    CHECK_NET(response.id == id,
-              "pipeline: out of order: got id %llu at position %llu",
-              static_cast<unsigned long long>(response.id),
-              static_cast<unsigned long long>(id));
-    CHECK_NET(response.status == StatusCode::kOk,
-              "pipeline: request %llu failed: %s",
-              static_cast<unsigned long long>(id), response.text.c_str());
+    HARNESS_CHECK(response.id == id,
+                  "pipeline: out of order: got id %llu at position %llu",
+                  static_cast<unsigned long long>(response.id),
+                  static_cast<unsigned long long>(id));
+    HARNESS_CHECK(response.status == StatusCode::kOk,
+                  "pipeline: request %llu failed: %s",
+                  static_cast<unsigned long long>(id), response.text.c_str());
     // Inserts swap the snapshot: versions must be non-decreasing and grow
     // by exactly one across each insert acknowledgement.
-    CHECK_NET(response.snapshot_version >= last_version,
-              "pipeline: version went backwards at %llu",
-              static_cast<unsigned long long>(id));
+    HARNESS_CHECK(response.snapshot_version >= last_version,
+                  "pipeline: version went backwards at %llu",
+                  static_cast<unsigned long long>(id));
     if (response.request_op == net::Opcode::kInsert) {
       last_version = response.snapshot_version;
     }
   }
-  CHECK_NET(last_version >= 2, "pipeline: inserts never bumped the version");
+  HARNESS_CHECK(last_version >= 2,
+                "pipeline: inserts never bumped the version");
 
   // Introspection over the wire: the serve-tool health and stats lines.
-  CHECK_NET(client
-                .Send(EncodeRequest(Request(net::Opcode::kHealth, 1000)) +
-                      EncodeRequest(Request(net::Opcode::kStats, 1001)))
-                .ok(),
-            "pipeline: introspection send failed");
+  const std::string introspection =
+      EncodeRequest(Request(net::Opcode::kHealth, 1000)) +
+      EncodeRequest(Request(net::Opcode::kStats, 1001));
+  HARNESS_CHECK(client.Send(introspection).ok(),
+                "pipeline: introspection send failed");
   std::string payload;
-  CHECK_NET(ReadPayload(&client, &payload) == Got::kPayload,
-            "pipeline: no health response");
+  HARNESS_CHECK(ReadPayload(&client, &payload) == Got::kPayload,
+                "pipeline: no health response");
   Result<net::WireResponse> health = net::ParseResponse(payload);
-  CHECK_NET(health.ok(), "pipeline: bad health response");
-  CHECK_NET(health.value().text.find("status=ready") != std::string::npos,
-            "pipeline: bad health line: '%s'", health.value().text.c_str());
-  CHECK_NET(ReadPayload(&client, &payload) == Got::kPayload,
-            "pipeline: no stats response");
+  HARNESS_CHECK(health.ok(), "pipeline: bad health response");
+  HARNESS_CHECK(health.value().text.find("status=ready") != std::string::npos,
+                "pipeline: bad health line: '%s'", health.value().text.c_str());
+  HARNESS_CHECK(ReadPayload(&client, &payload) == Got::kPayload,
+                "pipeline: no stats response");
   Result<net::WireResponse> stats = net::ParseResponse(payload);
-  CHECK_NET(stats.ok(), "pipeline: bad stats response");
-  CHECK_NET(stats.value().text.find("queries=") != std::string::npos,
-            "pipeline: bad stats line: '%s'", stats.value().text.c_str());
+  HARNESS_CHECK(stats.ok(), "pipeline: bad stats response");
+  HARNESS_CHECK(stats.value().text.find("queries=") != std::string::npos,
+                "pipeline: bad stats line: '%s'", stats.value().text.c_str());
   return true;
 }
 
 bool RunMalformedRound(uint16_t port) {
   net::NetClient victim;
-  CHECK_NET(Connect(&victim, port), "malformed: connect failed");
+  HARNESS_CHECK(Connect(&victim, port), "malformed: connect failed");
   std::string bad = EncodeRequest(Request(net::Opcode::kPing, 1));
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x01);
-  CHECK_NET(victim.Send(bad).ok(), "malformed: send failed");
+  HARNESS_CHECK(victim.Send(bad).ok(), "malformed: send failed");
 
   std::string payload;
-  CHECK_NET(ReadPayload(&victim, &payload) == Got::kPayload,
-            "malformed: expected a goaway frame");
-  CHECK_NET(net::PayloadOpcode(payload) == net::Opcode::kGoAway,
-            "malformed: expected kGoAway, got opcode %d", int(payload[0]));
+  HARNESS_CHECK(ReadPayload(&victim, &payload) == Got::kPayload,
+                "malformed: expected a goaway frame");
+  HARNESS_CHECK(net::PayloadOpcode(payload) == net::Opcode::kGoAway,
+                "malformed: expected kGoAway, got opcode %d", int(payload[0]));
   Result<net::WireGoAway> goaway = net::ParseGoAway(payload);
-  CHECK_NET(goaway.ok(), "malformed: unparseable goaway");
-  CHECK_NET(goaway.value().status == StatusCode::kInvalidArgument,
-            "malformed: wrong goaway status");
-  CHECK_NET(ReadPayload(&victim, &payload) == Got::kEof,
-            "malformed: server did not close the broken stream");
+  HARNESS_CHECK(goaway.ok(), "malformed: unparseable goaway");
+  HARNESS_CHECK(goaway.value().status == StatusCode::kInvalidArgument,
+                "malformed: wrong goaway status");
+  HARNESS_CHECK(ReadPayload(&victim, &payload) == Got::kEof,
+                "malformed: server did not close the broken stream");
 
   // The server survives: a fresh connection still answers.
   net::NetClient fresh;
-  CHECK_NET(Connect(&fresh, port), "malformed: reconnect failed");
-  CHECK_NET(fresh.Send(EncodeRequest(Request(net::Opcode::kPing, 2))).ok(),
-            "malformed: ping send failed");
-  CHECK_NET(ReadPayload(&fresh, &payload) == Got::kPayload,
-            "malformed: server stopped answering after a protocol error");
+  HARNESS_CHECK(Connect(&fresh, port), "malformed: reconnect failed");
+  HARNESS_CHECK(fresh.Send(EncodeRequest(Request(net::Opcode::kPing, 2))).ok(),
+                "malformed: ping send failed");
+  HARNESS_CHECK(ReadPayload(&fresh, &payload) == Got::kPayload,
+                "malformed: server stopped answering after a protocol error");
   return true;
 }
 
-bool RunDrainRound(Server* server, int dims) {
+bool RunDrainRound(Child* server, int dims) {
   net::NetClient inflight;
-  CHECK_NET(Connect(&inflight, server->port), "drain: connect failed");
+  HARNESS_CHECK(Connect(&inflight, server->port), "drain: connect failed");
   // A burst is on the wire (and mostly decoded) when the signal lands.
   constexpr uint64_t kRequests = 48;
-  CHECK_NET(inflight.Send(MixedBurst(kRequests, dims)).ok(),
-            "drain: send failed");
-  CHECK_NET(kill(server->pid, SIGTERM) == 0, "drain: kill failed");
+  HARNESS_CHECK(inflight.Send(MixedBurst(kRequests, dims)).ok(),
+                "drain: send failed");
+  HARNESS_CHECK(kill(server->pid, SIGTERM) == 0, "drain: kill failed");
 
   // Every response that arrives must still be in order; the connection
   // must end in clean EOF (requests not yet decoded when the drain began
@@ -305,14 +226,14 @@ bool RunDrainRound(Server* server, int dims) {
     std::string payload;
     const Got got = ReadPayload(&inflight, &payload);
     if (got == Got::kEof) break;
-    CHECK_NET(got == Got::kPayload, "drain: broken stream");
+    HARNESS_CHECK(got == Got::kPayload, "drain: broken stream");
     if (net::PayloadOpcode(payload) == net::Opcode::kGoAway) continue;
     Result<net::WireResponse> decoded = net::ParseResponse(payload);
-    CHECK_NET(decoded.ok(), "drain: bad response");
-    CHECK_NET(decoded.value().id == next_id,
-              "drain: out of order after SIGTERM (got %llu, want %llu)",
-              static_cast<unsigned long long>(decoded.value().id),
-              static_cast<unsigned long long>(next_id));
+    HARNESS_CHECK(decoded.ok(), "drain: bad response");
+    HARNESS_CHECK(decoded.value().id == next_id,
+                  "drain: out of order after SIGTERM (got %llu, want %llu)",
+                  static_cast<unsigned long long>(decoded.value().id),
+                  static_cast<unsigned long long>(next_id));
     ++next_id;
   }
 
@@ -324,22 +245,22 @@ bool RunDrainRound(Server* server, int dims) {
     std::string payload;
     const Got got = ReadPayload(&late, &payload);
     if (got == Got::kPayload) {
-      CHECK_NET(net::PayloadOpcode(payload) == net::Opcode::kGoAway,
-                "drain: late connection was served instead of refused");
+      HARNESS_CHECK(net::PayloadOpcode(payload) == net::Opcode::kGoAway,
+                    "drain: late connection was served instead of refused");
       Result<net::WireGoAway> goaway = net::ParseGoAway(payload);
-      CHECK_NET(goaway.ok(), "drain: unparseable goaway");
-      CHECK_NET(goaway.value().status == StatusCode::kUnavailable,
-                "drain: late connection refused with the wrong status");
-      CHECK_NET(ReadPayload(&late, &payload) == Got::kEof,
-                "drain: refused connection not closed");
+      HARNESS_CHECK(goaway.ok(), "drain: unparseable goaway");
+      HARNESS_CHECK(goaway.value().status == StatusCode::kUnavailable,
+                    "drain: late connection refused with the wrong status");
+      HARNESS_CHECK(ReadPayload(&late, &payload) == Got::kEof,
+                    "drain: refused connection not closed");
     } else {
-      CHECK_NET(got == Got::kEof, "drain: broken late stream");
+      HARNESS_CHECK(got == Got::kEof, "drain: broken late stream");
     }
   }
 
-  const int exit_code = WaitServer(server);
-  CHECK_NET(exit_code == 0, "drain: server exited %d after SIGTERM",
-            exit_code);
+  const int exit_code = harness::Wait(server);
+  HARNESS_CHECK(exit_code == 0, "drain: server exited %d after SIGTERM",
+                exit_code);
   return true;
 }
 
@@ -350,41 +271,32 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "usage: skycube_nettest --serve=PATH\n");
     return 2;
   }
-  const int tuples = static_cast<int>(flags.GetInt("tuples", 400));
-  const int dims = static_cast<int>(flags.GetInt("dims", 4));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
-
-  const std::vector<std::string> args = {
-      "--synthetic",
-      "--tuples=" + std::to_string(tuples),
-      "--dims=" + std::to_string(dims),
-      "--seed=" + std::to_string(seed),
-      "--port=0",
-  };
-  Server server = SpawnServer(serve, args);
+  SyntheticSpec source;
+  source.num_objects = static_cast<size_t>(flags.GetInt("tuples", 400));
+  source.num_dims = static_cast<int>(flags.GetInt("dims", 4));
+  source.seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
+  std::vector<std::string> args = SyntheticFlags(source);
+  args.push_back("--port=0");
+  Result<Child> spawned =
+      harness::Spawn(serve, args, harness::Io::kListenLine);
+  if (!spawned.ok()) {
+    harness::Fail("%s", spawned.status().ToString().c_str());
+    return harness::Report("skycube_nettest");
+  }
+  Child server = spawned.value();
   std::fprintf(stderr, "server pid %d on port %u\n", int(server.pid),
                unsigned(server.port));
 
-  if (RunPipelineRound(server.port, dims)) {
+  if (RunPipelineRound(server.port, source.num_dims)) {
     std::fprintf(stderr, "PASS pipeline round\n");
   }
   if (RunMalformedRound(server.port)) {
     std::fprintf(stderr, "PASS malformed round\n");
   }
-  if (RunDrainRound(&server, dims)) {
+  if (RunDrainRound(&server, source.num_dims)) {
     std::fprintf(stderr, "PASS drain round\n");
   }
-  if (server.stderr_from != nullptr) {
-    kill(server.pid, SIGKILL);  // only reached when the drain round failed
-    WaitServer(&server);
-  }
-
-  if (g_failures > 0) {
-    std::fprintf(stderr, "skycube_nettest: %d failure(s)\n", g_failures);
-    return 1;
-  }
-  std::fprintf(stderr, "skycube_nettest: all rounds passed\n");
-  return 0;
+  return harness::Report("skycube_nettest");
 }
 
 }  // namespace

@@ -40,7 +40,6 @@
 //   --max-connections=N
 //
 // SIGTERM/SIGINT drain gracefully, exactly like skycube_serve socket mode.
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -49,26 +48,13 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 #include "net/server.h"
 #include "router/router.h"
+#include "tools/server_common.h"
 
 namespace skycube {
 namespace {
-
-volatile std::sig_atomic_t g_shutdown_signal = 0;
-
-extern "C" void OnShutdownSignal(int sig) { g_shutdown_signal = sig; }
-
-void InstallShutdownHandlers() {
-  struct sigaction action = {};
-  action.sa_handler = OnShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-  sigaction(SIGINT, &action, nullptr);
-}
 
 /// Parses one "host:port" (host defaults to 127.0.0.1 when the entry is
 /// just a port or ":port").
@@ -136,11 +122,7 @@ int Usage() {
 }
 
 int Run(const FlagParser& flags) {
-  if (const int64_t port = flags.GetInt("port", 0); port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port=%lld is outside [0, 65535]\n",
-                 static_cast<long long>(port));
-    return 2;
-  }
+  if (!PortFlagInRange(flags)) return 2;
   const std::string negative = flags.FirstNegative(
       {"tuples", "net-queue", "max-pipeline", "max-connections", "staleness"});
   if (!negative.empty()) {
@@ -156,27 +138,15 @@ int Run(const FlagParser& flags) {
 
   // The bootstrap source: the same rows, in the same order, the shards
   // loaded (they filtered by ring ownership; the router keeps all).
-  Dataset source(1);
-  if (flags.Has("data")) {
-    Result<Dataset> loaded = Dataset::FromCsvFile(flags.GetString("data", ""));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    source = std::move(loaded).value();
-    if (flags.GetBool("negate", false)) source = source.Negated();
-  } else if (flags.GetBool("synthetic", false)) {
-    SyntheticSpec spec;
-    spec.distribution =
-        DistributionFromName(flags.GetString("dist", "independent"));
-    spec.num_objects = static_cast<size_t>(flags.GetInt("tuples", 2000));
-    spec.num_dims = static_cast<int>(flags.GetInt("dims", 6));
-    spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-    spec.truncate_decimals = static_cast<int>(flags.GetInt("truncate", 4));
-    source = GenerateSynthetic(spec);
-  } else {
+  if (!flags.Has("data") && !flags.GetBool("synthetic", false)) {
     return Usage();
   }
+  Result<Dataset> loaded = LoadDataSource(flags);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
+  const Dataset source = std::move(loaded).value();
 
   router::RouterOptions options;
   options.ring_seed = static_cast<uint64_t>(flags.GetInt("ring-seed", 0));
@@ -200,19 +170,7 @@ int Run(const FlagParser& flags) {
   std::fprintf(stderr, "router over %zu shards, %zu rows, %d dims\n",
                executor.num_shards(), num_rows, executor.num_dims());
 
-  net::NetServerOptions net_options;
-  net_options.host = flags.GetString("listen", "127.0.0.1");
-  net_options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  net_options.dispatch_threads =
-      static_cast<int>(flags.GetInt("net-threads", 0));
-  net_options.dispatch_queue_capacity =
-      static_cast<size_t>(flags.GetInt("net-queue", 4096));
-  net_options.max_pipeline =
-      static_cast<size_t>(flags.GetInt("max-pipeline", 1024));
-  net_options.max_connections =
-      static_cast<size_t>(flags.GetInt("max-connections", 0));
-  net_options.deadline_millis = flags.GetInt("deadline-ms", 0);
-
+  const net::NetServerOptions net_options = NetServerOptionsFromFlags(flags);
   net::NetServer server(&executor, net_options);
   Status started = server.Start();
   if (!started.ok()) {
@@ -220,19 +178,17 @@ int Run(const FlagParser& flags) {
     return 1;
   }
   InstallShutdownHandlers();
-  std::fprintf(stderr, "listening on %s:%u (%d-dim cube, %zu shards)\n",
-               net_options.host.c_str(), static_cast<unsigned>(server.port()),
-               executor.num_dims(), executor.num_shards());
-  std::fflush(stderr);
+  PrintListenLine(net_options.host, server.port(),
+                  std::to_string(executor.num_dims()) + "-dim cube, " +
+                      std::to_string(executor.num_shards()) + " shards");
   server.Run(
       [&server] {
-        if (g_shutdown_signal != 0) server.BeginDrain();
+        if (ShutdownSignal() != 0) server.BeginDrain();
       },
       /*tick_millis=*/100);
   executor.BeginDrain();
-  if (g_shutdown_signal != 0) {
-    std::fprintf(stderr, "signal %d: drained, exiting\n",
-                 static_cast<int>(g_shutdown_signal));
+  if (ShutdownSignal() != 0) {
+    std::fprintf(stderr, "signal %d: drained, exiting\n", ShutdownSignal());
   }
   return 0;
 }

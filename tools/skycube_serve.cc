@@ -101,7 +101,6 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -120,7 +119,6 @@
 #include "core/maintenance.h"
 #include "core/serialization.h"
 #include "core/stellar.h"
-#include "datagen/synthetic.h"
 #include "dataset/dataset.h"
 #include "net/repl_client.h"
 #include "net/server.h"
@@ -129,6 +127,7 @@
 #include "service/window_expiry.h"
 #include "storage/durable_ingest.h"
 #include "storage/replication.h"
+#include "tools/server_common.h"
 
 namespace skycube {
 namespace {
@@ -169,24 +168,6 @@ struct ServeSession {
                : request;
   }
 };
-
-/// Last shutdown signal received (0 = none). sig_atomic_t: written from the
-/// handler, read from the serve loop.
-volatile std::sig_atomic_t g_shutdown_signal = 0;
-
-extern "C" void OnShutdownSignal(int sig) { g_shutdown_signal = sig; }
-
-/// SIGTERM/SIGINT request a drain. Deliberately no SA_RESTART: the blocking
-/// stdin read must fail with EINTR so the serve loop observes the flag
-/// instead of waiting for the next input line.
-void InstallShutdownHandlers() {
-  struct sigaction action = {};
-  action.sa_handler = OnShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-  sigaction(SIGINT, &action, nullptr);
-}
 
 /// SKYCUBE_ARM_FAULTS=point[=count][,point...] — arm fault points inside a
 /// forked server (no test harness can reach this process's registry).
@@ -563,21 +544,9 @@ Result<Dataset> FilterShardRows(Dataset data, const FlagParser& flags) {
 /// Loads --data or generates --synthetic (the two dataset-backed sources),
 /// then applies the --shard-count/--shard-index partition filter.
 Result<Dataset> LoadSourceDataset(const FlagParser& flags) {
-  if (flags.Has("data")) {
-    Result<Dataset> loaded = Dataset::FromCsvFile(flags.GetString("data", ""));
-    if (!loaded.ok()) return loaded.status();
-    Dataset data = std::move(loaded).value();
-    if (flags.GetBool("negate", false)) data = data.Negated();
-    return FilterShardRows(std::move(data), flags);
-  }
-  SyntheticSpec spec;
-  spec.distribution =
-      DistributionFromName(flags.GetString("dist", "independent"));
-  spec.num_objects = static_cast<size_t>(flags.GetInt("tuples", 2000));
-  spec.num_dims = static_cast<int>(flags.GetInt("dims", 6));
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  spec.truncate_decimals = static_cast<int>(flags.GetInt("truncate", 4));
-  return FilterShardRows(GenerateSynthetic(spec), flags);
+  Result<Dataset> loaded = LoadDataSource(flags);
+  if (!loaded.ok()) return loaded.status();
+  return FilterShardRows(std::move(loaded).value(), flags);
 }
 
 /// Socket mode: the src/net/ binary-protocol server in front of the same
@@ -585,18 +554,7 @@ Result<Dataset> LoadSourceDataset(const FlagParser& flags) {
 /// complete, connections flush and close); once Run() returns, the service
 /// and durable layers drain exactly as the REPL's exit path does.
 int ServeSocket(const FlagParser& flags, ServeSession& session) {
-  net::NetServerOptions net_options;
-  net_options.host = flags.GetString("listen", "127.0.0.1");
-  net_options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  net_options.dispatch_threads =
-      static_cast<int>(flags.GetInt("net-threads", 0));
-  net_options.dispatch_queue_capacity =
-      static_cast<size_t>(flags.GetInt("net-queue", 4096));
-  net_options.max_pipeline =
-      static_cast<size_t>(flags.GetInt("max-pipeline", 1024));
-  net_options.max_connections =
-      static_cast<size_t>(flags.GetInt("max-connections", 0));
-  net_options.deadline_millis = session.deadline_millis;
+  net::NetServerOptions net_options = NetServerOptionsFromFlags(flags);
   // The wire's health/stats opcodes answer with the same lines the REPL
   // prints — including the durability counters only this tool can see.
   net_options.health_text = [&session] { return FormatHealth(session); };
@@ -618,15 +576,12 @@ int ServeSocket(const FlagParser& flags, ServeSession& session) {
     return 1;
   }
   InstallShutdownHandlers();
-  std::fprintf(stderr, "listening on %s:%u (%d-dim cube, version %llu)\n",
-               net_options.host.c_str(), static_cast<unsigned>(server.port()),
-               session.num_dims,
-               static_cast<unsigned long long>(
-                   session.service->snapshot_version()));
-  std::fflush(stderr);
+  PrintListenLine(net_options.host, server.port(),
+                  std::to_string(session.num_dims) + "-dim cube, version " +
+                      std::to_string(session.service->snapshot_version()));
   server.Run(
       [&server] {
-        if (g_shutdown_signal != 0) server.BeginDrain();
+        if (ShutdownSignal() != 0) server.BeginDrain();
       },
       /*tick_millis=*/100);
 
@@ -642,9 +597,8 @@ int ServeSocket(const FlagParser& flags, ServeSession& session) {
       return 1;
     }
   }
-  if (g_shutdown_signal != 0) {
-    std::fprintf(stderr, "signal %d: drained%s, exiting\n",
-                 static_cast<int>(g_shutdown_signal),
+  if (ShutdownSignal() != 0) {
+    std::fprintf(stderr, "signal %d: drained%s, exiting\n", ShutdownSignal(),
                  session.durable ? " (wal flushed, final checkpoint written)"
                                  : "");
   }
@@ -653,11 +607,7 @@ int ServeSocket(const FlagParser& flags, ServeSession& session) {
 
 int Serve(const FlagParser& flags) {
   ServeSession session;
-  if (const int64_t port = flags.GetInt("port", 0); port < 0 || port > 65535) {
-    std::fprintf(stderr, "--port=%lld is outside [0, 65535]\n",
-                 static_cast<long long>(port));
-    return 2;
-  }
+  if (!PortFlagInRange(flags)) return 2;
   const std::string negative = flags.FirstNegative(
       {"tuples", "net-queue", "max-pipeline", "max-connections",
        "cache-capacity", "cache-shards", "max-in-flight", "checkpoint-every",
@@ -914,7 +864,7 @@ int Serve(const FlagParser& flags) {
                    session.service->snapshot_version()));
   InstallShutdownHandlers();
   std::string line;
-  while (g_shutdown_signal == 0 && std::getline(std::cin, line)) {
+  while (ShutdownSignal() == 0 && std::getline(std::cin, line)) {
     std::istringstream in(line);
     std::string command;
     in >> command;
@@ -968,9 +918,8 @@ int Serve(const FlagParser& flags) {
       return 1;
     }
   }
-  if (g_shutdown_signal != 0) {
-    std::fprintf(stderr, "signal %d: drained%s, exiting\n",
-                 static_cast<int>(g_shutdown_signal),
+  if (ShutdownSignal() != 0) {
+    std::fprintf(stderr, "signal %d: drained%s, exiting\n", ShutdownSignal(),
                  session.durable ? " (wal flushed, final checkpoint written)"
                                  : "");
   }

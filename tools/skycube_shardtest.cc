@@ -35,12 +35,9 @@
 //   skycube_shardtest --serve=PATH --router=PATH --work-dir=DIR
 //                     [--tuples=N] [--dims=D] [--seed=S] [--replication]
 #include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -57,107 +54,16 @@
 #include "net/protocol.h"
 #include "service/ingest.h"
 #include "service/service.h"
+#include "tools/process_harness.h"
+#include "tools/server_common.h"
 
 namespace skycube {
 namespace {
 
-int g_failures = 0;
-
-#define CHECK_SHARD(cond, ...)                    \
-  do {                                            \
-    if (!(cond)) {                                \
-      std::fprintf(stderr, "FAIL ");              \
-      std::fprintf(stderr, __VA_ARGS__);          \
-      std::fprintf(stderr, "\n");                 \
-      ++g_failures;                               \
-      return false;                               \
-    }                                             \
-  } while (0)
+using harness::Child;
+using harness::WireCall;
 
 constexpr size_t kNumShards = 3;
-constexpr int64_t kReadTimeoutMillis = 60000;
-
-struct Child {
-  pid_t pid = -1;
-  FILE* stderr_from = nullptr;
-  uint16_t port = 0;
-};
-
-/// Forks + execs a serve/router binary and scrapes "listening on HOST:PORT"
-/// from its stderr (skipping earlier startup lines).
-Child Spawn(const std::string& binary,
-            const std::vector<std::string>& args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) {
-    std::perror("pipe");
-    std::exit(1);
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::perror("fork");
-    std::exit(1);
-  }
-  if (pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 2);
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(binary.c_str(), argv.data());
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  Child child;
-  child.pid = pid;
-  child.stderr_from = fdopen(err_pipe[0], "r");
-  std::string line;
-  int c;
-  while ((c = std::fgetc(child.stderr_from)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (line.rfind("listening on ", 0) == 0) {
-      const size_t colon = line.rfind(':');
-      child.port = static_cast<uint16_t>(
-          std::strtoul(line.c_str() + colon + 1, nullptr, 10));
-      return child;
-    }
-    line.clear();
-  }
-  std::fprintf(stderr, "no listen line from %s (last: '%s')\n",
-               binary.c_str(), line.c_str());
-  kill(pid, SIGKILL);
-  std::exit(1);
-}
-
-void Reap(Child* child) {
-  if (child->pid > 0) {
-    int status = 0;
-    waitpid(child->pid, &status, 0);
-    child->pid = -1;
-  }
-  if (child->stderr_from != nullptr) {
-    fclose(child->stderr_from);
-    child->stderr_from = nullptr;
-  }
-}
-
-/// One request over a fresh-enough connection; false on transport failure
-/// (the degradation round treats that as a tolerated loss, not a bug).
-bool WireQuery(net::NetClient* client, const net::WireRequest& request,
-               net::WireResponse* response) {
-  if (!client->SendRequest(request).ok()) return false;
-  std::string error;
-  return client->ReadResponse(response,
-                              Deadline::AfterMillis(kReadTimeoutMillis),
-                              &error) == net::NetClient::Got::kFrame;
-}
 
 net::WireRequest SkylineRequest(DimMask subspace, uint64_t id) {
   net::WireRequest request;
@@ -165,6 +71,16 @@ net::WireRequest SkylineRequest(DimMask subspace, uint64_t id) {
   request.id = id;
   request.subspace = subspace;
   return request;
+}
+
+/// Spawns a server tool and scrapes its port into *child.
+bool SpawnServer(const std::string& binary,
+                 const std::vector<std::string>& args, Child* child) {
+  Result<Child> spawned =
+      harness::Spawn(binary, args, harness::Io::kListenLine);
+  HARNESS_CHECK(spawned.ok(), "%s", spawned.status().ToString().c_str());
+  *child = spawned.value();
+  return true;
 }
 
 /// The single-node oracle: the same rows through the same service stack,
@@ -259,23 +175,23 @@ std::string IdListPreview(const std::vector<ObjectId>& ids) {
 bool RunOracleRound(uint16_t router_port, const Oracle& oracle, int dims,
                     const char* label) {
   net::NetClient client;
-  CHECK_SHARD(client.Connect("127.0.0.1", router_port).ok(),
-              "%s: router connect failed", label);
+  HARNESS_CHECK(client.Connect("127.0.0.1", router_port).ok(),
+                "%s: router connect failed", label);
   const DimMask full = FullMask(dims);
   uint64_t id = 0;
   for (DimMask mask = 1; mask <= full; ++mask) {
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, SkylineRequest(mask, id++), &response),
-                "%s: skyline transport failed", label);
-    CHECK_SHARD(response.status == StatusCode::kOk, "%s: skyline err: %s",
-                label, response.text.c_str());
-    CHECK_SHARD(!response.partial, "%s: unexpected partial flag", label);
+    HARNESS_CHECK(WireCall(&client, SkylineRequest(mask, id++), &response),
+                  "%s: skyline transport failed", label);
+    HARNESS_CHECK(response.status == StatusCode::kOk, "%s: skyline err: %s",
+                  label, response.text.c_str());
+    HARNESS_CHECK(!response.partial, "%s: unexpected partial flag", label);
     const std::vector<ObjectId> expected = oracle.Skyline(mask);
-    CHECK_SHARD(response.ids == expected,
-                "%s: skyline mismatch on mask %llu: got [%s] want [%s]",
-                label, static_cast<unsigned long long>(mask),
-                IdListPreview(response.ids).c_str(),
-                IdListPreview(expected).c_str());
+    HARNESS_CHECK(response.ids == expected,
+                  "%s: skyline mismatch on mask %llu: got [%s] want [%s]",
+                  label, static_cast<unsigned long long>(mask),
+                  IdListPreview(response.ids).c_str(),
+                  IdListPreview(expected).c_str());
   }
   // Q2 membership and the Q3 aggregates against the oracle service.
   for (ObjectId object = 0; object < 24; ++object) {
@@ -285,15 +201,15 @@ bool RunOracleRound(uint16_t router_port, const Oracle& oracle, int dims,
     request.subspace = full;
     request.object = object;
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, request, &response),
-                "%s: membership transport failed", label);
-    CHECK_SHARD(response.status == StatusCode::kOk, "%s: membership err: %s",
-                label, response.text.c_str());
+    HARNESS_CHECK(WireCall(&client, request, &response),
+                  "%s: membership transport failed", label);
+    HARNESS_CHECK(response.status == StatusCode::kOk, "%s: membership err: %s",
+                  label, response.text.c_str());
     const QueryResponse expected =
         oracle.service->Execute(QueryRequest::Membership(object, full));
-    CHECK_SHARD(response.member == expected.member,
-                "%s: membership mismatch for object %u", label,
-                static_cast<unsigned>(object));
+    HARNESS_CHECK(response.member == expected.member,
+                  "%s: membership mismatch for object %u", label,
+                  static_cast<unsigned>(object));
   }
   for (ObjectId object = 0; object < 6; ++object) {
     net::WireRequest request;
@@ -301,41 +217,41 @@ bool RunOracleRound(uint16_t router_port, const Oracle& oracle, int dims,
     request.id = id++;
     request.object = object;
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, request, &response),
-                "%s: count transport failed", label);
-    CHECK_SHARD(response.status == StatusCode::kOk, "%s: count err: %s",
-                label, response.text.c_str());
+    HARNESS_CHECK(WireCall(&client, request, &response),
+                  "%s: count transport failed", label);
+    HARNESS_CHECK(response.status == StatusCode::kOk, "%s: count err: %s",
+                  label, response.text.c_str());
     const QueryResponse expected =
         oracle.service->Execute(QueryRequest::MembershipCount(object));
-    CHECK_SHARD(response.count == expected.count,
-                "%s: membership count mismatch for object %u (%llu != %llu)",
-                label, static_cast<unsigned>(object),
-                static_cast<unsigned long long>(response.count),
-                static_cast<unsigned long long>(expected.count));
+    HARNESS_CHECK(response.count == expected.count,
+                  "%s: membership count mismatch for object %u (%llu != %llu)",
+                  label, static_cast<unsigned>(object),
+                  static_cast<unsigned long long>(response.count),
+                  static_cast<unsigned long long>(expected.count));
   }
   {
     net::WireRequest request;
     request.op = net::Opcode::kSkycubeSize;
     request.id = id++;
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, request, &response),
-                "%s: skycube-size transport failed", label);
-    CHECK_SHARD(response.status == StatusCode::kOk, "%s: size err: %s",
-                label, response.text.c_str());
+    HARNESS_CHECK(WireCall(&client, request, &response),
+                  "%s: skycube-size transport failed", label);
+    HARNESS_CHECK(response.status == StatusCode::kOk, "%s: size err: %s",
+                  label, response.text.c_str());
     const QueryResponse expected =
         oracle.service->Execute(QueryRequest::SkycubeSize());
-    CHECK_SHARD(response.count == expected.count,
-                "%s: skycube size mismatch (%llu != %llu)", label,
-                static_cast<unsigned long long>(response.count),
-                static_cast<unsigned long long>(expected.count));
+    HARNESS_CHECK(response.count == expected.count,
+                  "%s: skycube size mismatch (%llu != %llu)", label,
+                  static_cast<unsigned long long>(response.count),
+                  static_cast<unsigned long long>(expected.count));
   }
   return true;
 }
 
 bool RunInsertRound(uint16_t router_port, Oracle* oracle, int dims) {
   net::NetClient client;
-  CHECK_SHARD(client.Connect("127.0.0.1", router_port).ok(),
-              "insert: router connect failed");
+  HARNESS_CHECK(client.Connect("127.0.0.1", router_port).ok(),
+                "insert: router connect failed");
   constexpr int kInserts = 24;
   for (int i = 0; i < kInserts; ++i) {
     net::WireRequest request;
@@ -345,37 +261,38 @@ bool RunInsertRound(uint16_t router_port, Oracle* oracle, int dims) {
       request.values.push_back(0.31 + 0.017 * i + 0.003 * d);
     }
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, request, &response),
-                "insert: transport failed at %d", i);
-    CHECK_SHARD(response.status == StatusCode::kOk, "insert %d failed: %s",
-                i, response.text.c_str());
-    CHECK_SHARD(oracle->Insert(request.values),
-                "insert: oracle rejected row %d", i);
+    HARNESS_CHECK(WireCall(&client, request, &response),
+                  "insert: transport failed at %d", i);
+    HARNESS_CHECK(response.status == StatusCode::kOk, "insert %d failed: %s",
+                  i, response.text.c_str());
+    HARNESS_CHECK(oracle->Insert(request.values),
+                  "insert: oracle rejected row %d", i);
   }
   return true;
 }
 
-bool RunDegradationRound(uint16_t router_port, Child* victim,
-                         size_t victim_shard, const Oracle& oracle,
-                         const HashRing& ring, int dims) {
+/// Sends a pipelined burst of skyline queries through the router and
+/// SIGKILLs `victim`, the server of shard `victim_shard`, while it is in
+/// flight. Every answer that comes back is (a) complete and equal to the
+/// full oracle, (b) partial-flagged and equal to the survivor oracle, or
+/// (c) an error or a lost stream while the router discovers the death.
+/// Never a wrong answer.
+bool KillMidBurst(const char* label, uint16_t router_port, Child* victim,
+                  size_t victim_shard, const Oracle& oracle,
+                  const HashRing& ring, int dims) {
   const DimMask full = FullMask(dims);
-  // A pipelined load is in flight when the SIGKILL lands.
   net::NetClient loaded;
-  CHECK_SHARD(loaded.Connect("127.0.0.1", router_port).ok(),
-              "degrade: router connect failed");
+  HARNESS_CHECK(loaded.Connect("127.0.0.1", router_port).ok(),
+                "%s: router connect failed", label);
   constexpr uint64_t kBurst = 32;
   std::string burst;
   for (uint64_t i = 0; i < kBurst; ++i) {
-    burst += EncodeRequest(
-        SkylineRequest(1 + (i % full), i));
+    burst += EncodeRequest(SkylineRequest(1 + (i % full), i));
   }
-  CHECK_SHARD(loaded.Send(burst).ok(), "degrade: burst send failed");
-  CHECK_SHARD(kill(victim->pid, SIGKILL) == 0, "degrade: kill failed");
-  Reap(victim);
+  HARNESS_CHECK(loaded.Send(burst).ok(), "%s: burst send failed", label);
+  HARNESS_CHECK(harness::Stop(victim, SIGKILL) == -SIGKILL,
+                "%s: kill failed", label);
 
-  // Drain the burst: every answer is (a) complete-and-full-oracle-correct,
-  // (b) partial-and-survivor-oracle-correct, or (c) an error/stream loss
-  // while the router discovers the death. Never a wrong answer.
   uint64_t complete = 0;
   uint64_t partial = 0;
   uint64_t errors = 0;
@@ -383,7 +300,8 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
     net::WireResponse response;
     std::string error;
     const net::NetClient::Got got = loaded.ReadResponse(
-        &response, Deadline::AfterMillis(kReadTimeoutMillis), &error);
+        &response, Deadline::AfterMillis(harness::kWireTimeoutMillis),
+        &error);
     if (got != net::NetClient::Got::kFrame) break;  // stream loss: tolerated
     const DimMask mask = 1 + (response.id % full);
     if (response.status != StatusCode::kOk) {
@@ -392,24 +310,33 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
     }
     if (response.partial) {
       ++partial;
-      const std::vector<ObjectId> expected =
-          SurvivorSkyline(oracle, ring, victim_shard, mask);
-      CHECK_SHARD(response.ids == expected,
-                  "degrade: WRONG partial answer on mask %llu",
-                  static_cast<unsigned long long>(mask));
+      HARNESS_CHECK(
+          response.ids == SurvivorSkyline(oracle, ring, victim_shard, mask),
+          "%s: WRONG partial answer on mask %llu", label,
+          static_cast<unsigned long long>(mask));
     } else {
       ++complete;
-      CHECK_SHARD(response.ids == oracle.Skyline(mask),
-                  "degrade: WRONG unflagged answer on mask %llu after kill",
-                  static_cast<unsigned long long>(mask));
+      HARNESS_CHECK(response.ids == oracle.Skyline(mask),
+                    "%s: WRONG complete answer on mask %llu after kill",
+                    label, static_cast<unsigned long long>(mask));
     }
   }
   std::fprintf(stderr,
-               "degrade: burst answers complete=%llu partial=%llu "
-               "errors=%llu\n",
-               static_cast<unsigned long long>(complete),
+               "%s: burst answers complete=%llu partial=%llu errors=%llu\n",
+               label, static_cast<unsigned long long>(complete),
                static_cast<unsigned long long>(partial),
                static_cast<unsigned long long>(errors));
+  return true;
+}
+
+bool RunDegradationRound(uint16_t router_port, Child* victim,
+                         size_t victim_shard, const Oracle& oracle,
+                         const HashRing& ring, int dims) {
+  if (!KillMidBurst("degrade", router_port, victim, victim_shard, oracle,
+                    ring, dims)) {
+    return false;
+  }
+  const DimMask full = FullMask(dims);
 
   // Steady state: within the probe window the router must serve
   // partial-flagged, survivor-correct answers (fresh connection per try —
@@ -421,20 +348,20 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
     net::NetClient client;
     if (!client.Connect("127.0.0.1", router_port).ok()) break;
     net::WireResponse response;
-    if (!WireQuery(&client, SkylineRequest(full, 9000), &response)) continue;
+    if (!WireCall(&client, SkylineRequest(full, 9000), &response)) continue;
     if (response.status != StatusCode::kOk) continue;
-    CHECK_SHARD(response.partial,
-                "degrade: complete-claiming answer with a shard dead");
+    HARNESS_CHECK(response.partial,
+                  "degrade: complete-claiming answer with a shard dead");
     const std::vector<ObjectId> expected =
         SurvivorSkyline(oracle, ring, victim_shard, full);
-    CHECK_SHARD(response.ids == expected,
-                "degrade: steady-state partial answer wrong: got [%s] want "
-                "[%s]",
-                IdListPreview(response.ids).c_str(),
-                IdListPreview(expected).c_str());
+    HARNESS_CHECK(response.ids == expected,
+                  "degrade: steady-state partial answer wrong: got [%s] want "
+                  "[%s]",
+                  IdListPreview(response.ids).c_str(),
+                  IdListPreview(expected).c_str());
     settled = true;
   }
-  CHECK_SHARD(settled, "degrade: router never settled into partial serving");
+  HARNESS_CHECK(settled, "degrade: router never settled into partial serving");
 
   // Membership for a victim-owned object still answers (the router holds
   // the row values): member iff no surviving row strictly dominates it.
@@ -443,8 +370,8 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
          ring.OwnerOf(victim_object) != victim_shard) {
     ++victim_object;
   }
-  CHECK_SHARD(victim_object < oracle.rows.size(),
-              "degrade: no victim-owned row found");
+  HARNESS_CHECK(victim_object < oracle.rows.size(),
+                "degrade: no victim-owned row found");
   bool expected_member = true;
   for (ObjectId gid = 0; gid < oracle.rows.size(); ++gid) {
     if (gid != victim_object && ring.OwnerOf(gid) != victim_shard &&
@@ -456,22 +383,22 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
   }
   {
     net::NetClient client;
-    CHECK_SHARD(client.Connect("127.0.0.1", router_port).ok(),
-                "degrade: reconnect failed");
+    HARNESS_CHECK(client.Connect("127.0.0.1", router_port).ok(),
+                  "degrade: reconnect failed");
     net::WireRequest request;
     request.op = net::Opcode::kMembership;
     request.id = 9001;
     request.subspace = full;
     request.object = victim_object;
     net::WireResponse response;
-    CHECK_SHARD(WireQuery(&client, request, &response),
-                "degrade: membership transport failed");
-    CHECK_SHARD(response.status == StatusCode::kOk,
-                "degrade: membership err: %s", response.text.c_str());
-    CHECK_SHARD(response.partial, "degrade: membership not partial-flagged");
-    CHECK_SHARD(response.member == expected_member,
-                "degrade: membership wrong for victim-owned object %u",
-                static_cast<unsigned>(victim_object));
+    HARNESS_CHECK(WireCall(&client, request, &response),
+                  "degrade: membership transport failed");
+    HARNESS_CHECK(response.status == StatusCode::kOk,
+                  "degrade: membership err: %s", response.text.c_str());
+    HARNESS_CHECK(response.partial, "degrade: membership not partial-flagged");
+    HARNESS_CHECK(response.member == expected_member,
+                  "degrade: membership wrong for victim-owned object %u",
+                  static_cast<unsigned>(victim_object));
   }
   return true;
 }
@@ -479,7 +406,7 @@ bool RunDegradationRound(uint16_t router_port, Child* victim,
 bool RunRecoveryRound(uint16_t router_port, const std::string& serve,
                       const std::vector<std::string>& victim_args,
                       Child* victim, const Oracle& oracle, int dims) {
-  *victim = Spawn(serve, victim_args);
+  if (!SpawnServer(serve, victim_args, victim)) return false;
   const DimMask full = FullMask(dims);
   const std::vector<ObjectId> expected = oracle.Skyline(full);
   const Deadline settle = Deadline::AfterMillis(60000);
@@ -488,29 +415,14 @@ bool RunRecoveryRound(uint16_t router_port, const std::string& serve,
     net::NetClient client;
     if (!client.Connect("127.0.0.1", router_port).ok()) continue;
     net::WireResponse response;
-    if (!WireQuery(&client, SkylineRequest(full, 9100), &response)) continue;
+    if (!WireCall(&client, SkylineRequest(full, 9100), &response)) continue;
     if (response.status != StatusCode::kOk || response.partial) continue;
-    CHECK_SHARD(response.ids == expected,
-                "recover: full answer wrong after shard respawn");
+    HARNESS_CHECK(response.ids == expected,
+                  "recover: full answer wrong after shard respawn");
     return RunOracleRound(router_port, oracle, dims, "recover");
   }
-  CHECK_SHARD(false, "recover: router never returned to full answers");
+  HARNESS_CHECK(false, "recover: router never returned to full answers");
   return false;
-}
-
-/// kReplState straight at one server: applied LSN + role.
-bool ReplState(uint16_t port, uint64_t* lsn, std::string* role) {
-  net::NetClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  net::WireRequest request;
-  request.op = net::Opcode::kReplState;
-  request.id = 1;
-  net::WireResponse response;
-  if (!WireQuery(&client, request, &response)) return false;
-  if (response.status != StatusCode::kOk) return false;
-  *lsn = response.lsn;
-  if (role != nullptr) *role = response.text;
-  return true;
 }
 
 /// Full-space skyline asked of one server directly (not through the
@@ -521,7 +433,7 @@ bool DirectSkyline(uint16_t port, DimMask subspace,
   net::NetClient client;
   if (!client.Connect("127.0.0.1", port).ok()) return false;
   net::WireResponse response;
-  if (!WireQuery(&client, SkylineRequest(subspace, 1), &response)) {
+  if (!WireCall(&client, SkylineRequest(subspace, 1), &response)) {
     return false;
   }
   if (response.status != StatusCode::kOk) return false;
@@ -538,8 +450,8 @@ bool WaitCaughtUp(uint16_t primary_port, uint16_t replica_port,
   while (!deadline.expired()) {
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
-    if (ReplState(primary_port, &primary_lsn, nullptr) &&
-        ReplState(replica_port, &replica_lsn, nullptr) &&
+    if (harness::ReplState(primary_port, &primary_lsn, nullptr) &&
+        harness::ReplState(replica_port, &replica_lsn, nullptr) &&
         replica_lsn >= primary_lsn) {
       return true;
     }
@@ -558,55 +470,11 @@ bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
                               uint16_t victim_replica_port,
                               size_t victim_shard, const Oracle& oracle,
                               const HashRing& ring, int dims) {
+  if (!KillMidBurst("chaos", router_port, victim_primary, victim_shard,
+                    oracle, ring, dims)) {
+    return false;
+  }
   const DimMask full = FullMask(dims);
-  net::NetClient loaded;
-  CHECK_SHARD(loaded.Connect("127.0.0.1", router_port).ok(),
-              "chaos: router connect failed");
-  constexpr uint64_t kBurst = 32;
-  std::string burst;
-  for (uint64_t i = 0; i < kBurst; ++i) {
-    burst += EncodeRequest(SkylineRequest(1 + (i % full), i));
-  }
-  CHECK_SHARD(loaded.Send(burst).ok(), "chaos: burst send failed");
-  CHECK_SHARD(kill(victim_primary->pid, SIGKILL) == 0, "chaos: kill failed");
-  Reap(victim_primary);
-
-  uint64_t complete = 0;
-  uint64_t partial = 0;
-  uint64_t errors = 0;
-  for (uint64_t i = 0; i < kBurst; ++i) {
-    net::WireResponse response;
-    std::string error;
-    const net::NetClient::Got got = loaded.ReadResponse(
-        &response, Deadline::AfterMillis(kReadTimeoutMillis), &error);
-    if (got != net::NetClient::Got::kFrame) break;  // stream loss: tolerated
-    const DimMask mask = 1 + (response.id % full);
-    if (response.status != StatusCode::kOk) {
-      ++errors;
-      continue;
-    }
-    if (response.partial) {
-      // Pre-failover window: the merge dropped the victim set. Must still
-      // be exactly the survivor skyline.
-      ++partial;
-      const std::vector<ObjectId> expected =
-          SurvivorSkyline(oracle, ring, victim_shard, mask);
-      CHECK_SHARD(response.ids == expected,
-                  "chaos: WRONG partial answer on mask %llu",
-                  static_cast<unsigned long long>(mask));
-    } else {
-      ++complete;
-      CHECK_SHARD(response.ids == oracle.Skyline(mask),
-                  "chaos: WRONG complete answer on mask %llu after kill",
-                  static_cast<unsigned long long>(mask));
-    }
-  }
-  std::fprintf(stderr,
-               "chaos: burst answers complete=%llu partial=%llu "
-               "errors=%llu\n",
-               static_cast<unsigned long long>(complete),
-               static_cast<unsigned long long>(partial),
-               static_cast<unsigned long long>(errors));
 
   // Failover settle: a fresh connection must get a complete, unflagged,
   // oracle-identical answer once the router promotes the replica.
@@ -617,24 +485,24 @@ bool RunReplicationChaosRound(uint16_t router_port, Child* victim_primary,
     net::NetClient client;
     if (!client.Connect("127.0.0.1", router_port).ok()) break;
     net::WireResponse response;
-    if (!WireQuery(&client, SkylineRequest(full, 9000), &response)) continue;
+    if (!WireCall(&client, SkylineRequest(full, 9000), &response)) continue;
     if (response.status != StatusCode::kOk || response.partial) continue;
-    CHECK_SHARD(response.ids == oracle.Skyline(full),
-                "chaos: post-failover answer wrong: got [%s] want [%s]",
-                IdListPreview(response.ids).c_str(),
-                IdListPreview(oracle.Skyline(full)).c_str());
+    HARNESS_CHECK(response.ids == oracle.Skyline(full),
+                  "chaos: post-failover answer wrong: got [%s] want [%s]",
+                  IdListPreview(response.ids).c_str(),
+                  IdListPreview(oracle.Skyline(full)).c_str());
     settled = true;
   }
-  CHECK_SHARD(settled, "chaos: router never failed over to the replica");
+  HARNESS_CHECK(settled, "chaos: router never failed over to the replica");
 
   // The replica must actually have been promoted, not merely read from.
   std::string role;
   uint64_t promoted_lsn = 0;
-  CHECK_SHARD(ReplState(victim_replica_port, &promoted_lsn, &role),
-              "chaos: promoted replica unreachable");
-  CHECK_SHARD(role == "primary",
-              "chaos: victim replica reports role=%s after failover",
-              role.c_str());
+  HARNESS_CHECK(harness::ReplState(victim_replica_port, &promoted_lsn, &role),
+                "chaos: promoted replica unreachable");
+  HARNESS_CHECK(role == "primary",
+                "chaos: victim replica reports role=%s after failover",
+                role.c_str());
 
   // Every answer kind, full oracle, zero partials — the acked prefix is
   // complete on the promoted replica.
@@ -648,7 +516,7 @@ bool RunRejoinRound(const std::string& serve,
                     const std::vector<std::string>& rejoin_args,
                     Child* old_primary, uint16_t new_primary_port,
                     int dims) {
-  *old_primary = Spawn(serve, rejoin_args);
+  if (!SpawnServer(serve, rejoin_args, old_primary)) return false;
   const Deadline deadline = Deadline::AfterMillis(60000);
   bool converged = false;
   while (!deadline.expired() && !converged) {
@@ -656,78 +524,93 @@ bool RunRejoinRound(const std::string& serve,
     uint64_t primary_lsn = 0;
     uint64_t replica_lsn = 0;
     std::string role;
-    if (!ReplState(new_primary_port, &primary_lsn, nullptr)) continue;
-    if (!ReplState(old_primary->port, &replica_lsn, &role)) continue;
+    if (!harness::ReplState(new_primary_port, &primary_lsn, nullptr)) continue;
+    if (!harness::ReplState(old_primary->port, &replica_lsn, &role)) continue;
     converged = role == "replica" && replica_lsn >= primary_lsn;
   }
-  CHECK_SHARD(converged, "rejoin: old primary never converged as replica");
+  HARNESS_CHECK(converged, "rejoin: old primary never converged as replica");
   const DimMask full = FullMask(dims);
   std::vector<ObjectId> promoted_ids;
   std::vector<ObjectId> rejoined_ids;
-  CHECK_SHARD(DirectSkyline(new_primary_port, full, &promoted_ids),
-              "rejoin: promoted primary skyline failed");
-  CHECK_SHARD(DirectSkyline(old_primary->port, full, &rejoined_ids),
-              "rejoin: rejoined replica skyline failed");
-  CHECK_SHARD(promoted_ids == rejoined_ids,
-              "rejoin: rejoined replica diverges: got [%s] want [%s]",
-              IdListPreview(rejoined_ids).c_str(),
-              IdListPreview(promoted_ids).c_str());
+  HARNESS_CHECK(DirectSkyline(new_primary_port, full, &promoted_ids),
+                "rejoin: promoted primary skyline failed");
+  HARNESS_CHECK(DirectSkyline(old_primary->port, full, &rejoined_ids),
+                "rejoin: rejoined replica skyline failed");
+  HARNESS_CHECK(promoted_ids == rejoined_ids,
+                "rejoin: rejoined replica diverges: got [%s] want [%s]",
+                IdListPreview(rejoined_ids).c_str(),
+                IdListPreview(promoted_ids).c_str());
   return true;
 }
 
-/// The --replication scenario: kNumShards primary+replica sets behind a
-/// replica-aware router, oracle/insert rounds, the kill-primary chaos
-/// round, post-failover fenced mutations, and the rejoin-and-converge
-/// round.
-int ReplicationMain(const std::string& serve, const std::string& router,
-                    const std::string& work_dir, int tuples, int dims,
-                    uint64_t seed) {
-  const std::vector<std::string> source_args = {
-      "--synthetic",
-      "--tuples=" + std::to_string(tuples),
-      "--dims=" + std::to_string(dims),
-      "--seed=" + std::to_string(seed),
-      "--truncate=4",
-  };
-  SyntheticSpec spec;
-  spec.distribution = DistributionFromName("independent");
-  spec.num_objects = static_cast<size_t>(tuples);
-  spec.num_dims = dims;
-  spec.seed = seed;
-  spec.truncate_decimals = 4;
-  Oracle oracle(GenerateSynthetic(spec));
-  const HashRing ring(kNumShards, /*seed=*/0, /*vnodes=*/64);
+struct Config {
+  std::string serve;
+  std::string router;
+  std::string work_dir;
+  /// The one dataset: the shards filter it by ring ownership, the router
+  /// and the oracle load it whole.
+  SyntheticSpec source;
+};
 
-  std::vector<Child> primaries(kNumShards);
-  std::vector<Child> replicas(kNumShards);
+std::string Endpoint(uint16_t port) {
+  return "127.0.0.1:" + std::to_string(port);
+}
+
+std::string ShardDir(const Config& config, size_t shard) {
+  return config.work_dir + "/shard-" + std::to_string(shard);
+}
+
+/// kNumShards shard servers behind one router. With --replication each
+/// shard is a primary plus a --replica-of hot standby, and the router gets
+/// `primary+replica` endpoint sets.
+struct Cluster {
+  std::vector<Child> primaries;
+  std::vector<Child> replicas;  // empty without --replication
+  /// Each primary's arguments, for the respawn round.
+  std::vector<std::vector<std::string>> primary_args;
+  Child router;
+};
+
+bool StartCluster(const Config& config, bool replicated, Cluster* cluster) {
+  cluster->primaries.resize(kNumShards);
+  cluster->replicas.resize(replicated ? kNumShards : 0);
+  cluster->primary_args.resize(kNumShards);
+  const std::vector<std::string> source_args = SyntheticFlags(config.source);
   std::string endpoints;
   for (size_t s = 0; s < kNumShards; ++s) {
-    std::vector<std::string> primary_args = source_args;
-    primary_args.push_back("--shard-count=" + std::to_string(kNumShards));
-    primary_args.push_back("--shard-index=" + std::to_string(s));
-    primary_args.push_back("--ring-seed=0");
-    primary_args.push_back("--data-dir=" + work_dir + "/shard-" +
-                           std::to_string(s) + "-primary");
-    primary_args.push_back("--port=0");
-    primaries[s] = Spawn(serve, primary_args);
+    std::vector<std::string>& args = cluster->primary_args[s];
+    args = source_args;
+    args.push_back("--shard-count=" + std::to_string(kNumShards));
+    args.push_back("--shard-index=" + std::to_string(s));
+    args.push_back("--ring-seed=0");
+    args.push_back("--data-dir=" + ShardDir(config, s) +
+                   (replicated ? "-primary" : ""));
+    args.push_back("--port=0");
+    Child& primary = cluster->primaries[s];
+    if (!SpawnServer(config.serve, args, &primary)) return false;
+    endpoints += (s == 0 ? "" : ",") + Endpoint(primary.port);
+    if (!replicated) {
+      std::fprintf(stderr, "shard %zu pid %d port %u\n", s,
+                   static_cast<int>(primary.pid),
+                   static_cast<unsigned>(primary.port));
+      continue;
+    }
     // The replica's whole state comes from the primary's snapshot + WAL;
     // it takes no dataset or shard-filter flags.
-    const std::vector<std::string> replica_args = {
-        "--data-dir=" + work_dir + "/shard-" + std::to_string(s) +
-            "-replica",
-        "--replica-of=127.0.0.1:" + std::to_string(primaries[s].port),
-        "--port=0",
-    };
-    replicas[s] = Spawn(serve, replica_args);
-    endpoints += (s == 0 ? "" : ",") + std::string("127.0.0.1:") +
-                 std::to_string(primaries[s].port) + "+127.0.0.1:" +
-                 std::to_string(replicas[s].port);
-    std::fprintf(stderr, "shard %zu primary pid %d port %u, replica pid %d "
-                 "port %u\n",
-                 s, static_cast<int>(primaries[s].pid),
-                 static_cast<unsigned>(primaries[s].port),
-                 static_cast<int>(replicas[s].pid),
-                 static_cast<unsigned>(replicas[s].port));
+    Child& replica = cluster->replicas[s];
+    if (!SpawnServer(config.serve,
+                     {"--data-dir=" + ShardDir(config, s) + "-replica",
+                      "--replica-of=" + Endpoint(primary.port), "--port=0"},
+                     &replica)) {
+      return false;
+    }
+    endpoints += "+" + Endpoint(replica.port);
+    std::fprintf(stderr,
+                 "shard %zu primary pid %d port %u, replica pid %d port %u\n",
+                 s, static_cast<int>(primary.pid),
+                 static_cast<unsigned>(primary.port),
+                 static_cast<int>(replica.pid),
+                 static_cast<unsigned>(replica.port));
   }
 
   std::vector<std::string> router_args = source_args;
@@ -736,189 +619,147 @@ int ReplicationMain(const std::string& serve, const std::string& router,
   router_args.push_back("--port=0");
   router_args.push_back("--down-after=2");
   router_args.push_back("--retry-ms=200");
-  Child router_child = Spawn(router, router_args);
+  if (!SpawnServer(config.router, router_args, &cluster->router)) {
+    return false;
+  }
   std::fprintf(stderr, "router pid %d port %u\n",
-               static_cast<int>(router_child.pid),
-               static_cast<unsigned>(router_child.port));
+               static_cast<int>(cluster->router.pid),
+               static_cast<unsigned>(cluster->router.port));
+  return true;
+}
 
-  if (RunOracleRound(router_child.port, oracle, dims, "oracle")) {
+/// SIGTERMs and reaps the router, then every shard server still running.
+void StopCluster(Cluster* cluster) {
+  harness::Stop(&cluster->router, SIGTERM);
+  for (Child& child : cluster->primaries) harness::Stop(&child, SIGTERM);
+  for (Child& child : cluster->replicas) harness::Stop(&child, SIGTERM);
+}
+
+/// The degradation scenario: oracle and insert rounds, SIGKILL of one
+/// shard mid-burst, and its respawn on the old port.
+void RunShardRounds(const Config& config, Cluster* cluster, Oracle* oracle,
+                    const HashRing& ring) {
+  const uint16_t router_port = cluster->router.port;
+  const int dims = config.source.num_dims;
+  if (RunOracleRound(router_port, *oracle, dims, "oracle")) {
+    std::fprintf(stderr, "PASS oracle round\n");
+  }
+  if (RunInsertRound(router_port, oracle, dims)) {
+    std::fprintf(stderr, "PASS insert round\n");
+  }
+  if (harness::Failures() == 0 &&
+      RunOracleRound(router_port, *oracle, dims, "post-insert")) {
+    std::fprintf(stderr, "PASS post-insert oracle round\n");
+  }
+  constexpr size_t kVictim = 1;
+  Child* victim = &cluster->primaries[kVictim];
+  if (harness::Failures() == 0 &&
+      RunDegradationRound(router_port, victim, kVictim, *oracle, ring,
+                          dims)) {
+    std::fprintf(stderr, "PASS degradation round\n");
+  }
+  if (harness::Failures() == 0) {
+    // Respawn on the old port so the router's configured endpoint revives.
+    std::vector<std::string> respawn_args = cluster->primary_args[kVictim];
+    const uint16_t old_port = victim->port;
+    respawn_args.back() = "--port=" + std::to_string(old_port);
+    if (RunRecoveryRound(router_port, config.serve, respawn_args, victim,
+                         *oracle, dims)) {
+      std::fprintf(stderr, "PASS recovery round (shard back on port %u)\n",
+                   static_cast<unsigned>(old_port));
+    }
+  }
+}
+
+/// The --replication scenario: oracle and insert rounds, the kill-primary
+/// chaos round, post-failover fenced mutations, and the rejoin-and-converge
+/// round.
+void RunReplicationRounds(const Config& config, Cluster* cluster,
+                          Oracle* oracle, const HashRing& ring) {
+  const uint16_t router_port = cluster->router.port;
+  const int dims = config.source.num_dims;
+  if (RunOracleRound(router_port, *oracle, dims, "oracle")) {
     std::fprintf(stderr, "PASS oracle round (replicated)\n");
   }
-  if (g_failures == 0 && RunInsertRound(router_child.port, &oracle, dims)) {
+  if (harness::Failures() == 0 &&
+      RunInsertRound(router_port, oracle, dims)) {
     std::fprintf(stderr, "PASS insert round (replicated)\n");
   }
   // Make the acked-prefix oracle deterministic: every replica at its
   // primary's tip before the kill.
-  for (size_t s = 0; s < kNumShards && g_failures == 0; ++s) {
-    if (!WaitCaughtUp(primaries[s].port, replicas[s].port, 30000)) {
-      std::fprintf(stderr, "FAIL shard %zu replica never caught up\n", s);
-      ++g_failures;
+  for (size_t s = 0; s < kNumShards && harness::Failures() == 0; ++s) {
+    if (!WaitCaughtUp(cluster->primaries[s].port, cluster->replicas[s].port,
+                      30000)) {
+      harness::Fail("shard %zu replica never caught up", s);
     }
   }
   constexpr size_t kVictim = 1;
-  if (g_failures == 0 &&
-      RunReplicationChaosRound(router_child.port, &primaries[kVictim],
-                               replicas[kVictim].port, kVictim, oracle,
-                               ring, dims)) {
+  const uint16_t promoted_port = cluster->replicas[kVictim].port;
+  if (harness::Failures() == 0 &&
+      RunReplicationChaosRound(router_port, &cluster->primaries[kVictim],
+                               promoted_port, kVictim, *oracle, ring,
+                               dims)) {
     std::fprintf(stderr, "PASS replication chaos round\n");
   }
   // Fenced mutations through the promoted primary (its fence degrades to
   // async instantly while it has no follower of its own).
-  if (g_failures == 0 && RunInsertRound(router_child.port, &oracle, dims)) {
+  if (harness::Failures() == 0 &&
+      RunInsertRound(router_port, oracle, dims)) {
     std::fprintf(stderr, "PASS post-failover insert round\n");
   }
-  if (g_failures == 0 &&
-      RunOracleRound(router_child.port, oracle, dims,
-                     "post-failover-insert")) {
+  if (harness::Failures() == 0 &&
+      RunOracleRound(router_port, *oracle, dims, "post-failover-insert")) {
     std::fprintf(stderr, "PASS post-failover oracle round\n");
   }
-  if (g_failures == 0) {
+  if (harness::Failures() == 0) {
     const std::vector<std::string> rejoin_args = {
-        "--data-dir=" + work_dir + "/shard-" + std::to_string(kVictim) +
-            "-primary",
-        "--replica-of=127.0.0.1:" + std::to_string(replicas[kVictim].port),
+        "--data-dir=" + ShardDir(config, kVictim) + "-primary",
+        "--replica-of=" + Endpoint(promoted_port),
         "--port=0",
     };
-    if (RunRejoinRound(serve, rejoin_args, &primaries[kVictim],
-                       replicas[kVictim].port, dims)) {
-      std::fprintf(stderr, "PASS rejoin round (old primary converged as "
-                   "replica)\n");
+    if (RunRejoinRound(config.serve, rejoin_args,
+                       &cluster->primaries[kVictim], promoted_port, dims)) {
+      std::fprintf(stderr,
+                   "PASS rejoin round (old primary converged as replica)\n");
     }
   }
-
-  kill(router_child.pid, SIGTERM);
-  Reap(&router_child);
-  for (Child& child : primaries) {
-    if (child.pid > 0) kill(child.pid, SIGTERM);
-    Reap(&child);
-  }
-  for (Child& child : replicas) {
-    if (child.pid > 0) kill(child.pid, SIGTERM);
-    Reap(&child);
-  }
-
-  if (g_failures > 0) {
-    std::fprintf(stderr, "skycube_shardtest --replication: %d failure(s)\n",
-                 g_failures);
-    return 1;
-  }
-  std::fprintf(stderr, "skycube_shardtest --replication: all rounds "
-               "passed\n");
-  return 0;
 }
 
 int Main(int argc, char** argv) {
   const FlagParser flags(argc, argv);
-  const std::string serve = flags.GetString("serve", "");
-  const std::string router = flags.GetString("router", "");
-  const std::string work_dir = flags.GetString("work-dir", "");
-  if (serve.empty() || router.empty() || work_dir.empty()) {
+  Config config;
+  config.serve = flags.GetString("serve", "");
+  config.router = flags.GetString("router", "");
+  config.work_dir = flags.GetString("work-dir", "");
+  if (config.serve.empty() || config.router.empty() ||
+      config.work_dir.empty()) {
     std::fprintf(stderr,
                  "usage: skycube_shardtest --serve=PATH --router=PATH "
                  "--work-dir=DIR\n");
     return 2;
   }
-  const int tuples = static_cast<int>(flags.GetInt("tuples", 500));
-  const int dims = static_cast<int>(flags.GetInt("dims", 4));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 29));
+  config.source.num_objects = static_cast<size_t>(flags.GetInt("tuples", 500));
+  config.source.num_dims = static_cast<int>(flags.GetInt("dims", 4));
+  config.source.seed = static_cast<uint64_t>(flags.GetInt("seed", 29));
+  const bool replicated = flags.GetBool("replication", false);
 
   std::error_code ec;
-  std::filesystem::remove_all(work_dir, ec);
-  std::filesystem::create_directories(work_dir, ec);
+  std::filesystem::remove_all(config.work_dir, ec);
+  std::filesystem::create_directories(config.work_dir, ec);
 
-  if (flags.GetBool("replication", false)) {
-    return ReplicationMain(serve, router, work_dir, tuples, dims, seed);
-  }
-
-  // The shared synthetic spec: shards filter it by ring ownership, the
-  // router and the oracle load it whole. Must agree everywhere.
-  const std::vector<std::string> source_args = {
-      "--synthetic",
-      "--tuples=" + std::to_string(tuples),
-      "--dims=" + std::to_string(dims),
-      "--seed=" + std::to_string(seed),
-      "--truncate=4",
-  };
-  SyntheticSpec spec;
-  spec.distribution = DistributionFromName("independent");
-  spec.num_objects = static_cast<size_t>(tuples);
-  spec.num_dims = dims;
-  spec.seed = seed;
-  spec.truncate_decimals = 4;
-  Oracle oracle(GenerateSynthetic(spec));
+  Oracle oracle(GenerateSynthetic(config.source));
   const HashRing ring(kNumShards, /*seed=*/0, /*vnodes=*/64);
-
-  std::vector<Child> shards(kNumShards);
-  std::vector<std::vector<std::string>> shard_args(kNumShards);
-  std::string endpoints;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    shard_args[s] = source_args;
-    shard_args[s].push_back("--shard-count=" + std::to_string(kNumShards));
-    shard_args[s].push_back("--shard-index=" + std::to_string(s));
-    shard_args[s].push_back("--ring-seed=0");
-    shard_args[s].push_back("--data-dir=" + work_dir + "/shard-" +
-                            std::to_string(s));
-    shard_args[s].push_back("--port=0");
-    shards[s] = Spawn(serve, shard_args[s]);
-    endpoints += (s == 0 ? "" : ",") + std::string("127.0.0.1:") +
-                 std::to_string(shards[s].port);
-    std::fprintf(stderr, "shard %zu pid %d port %u\n", s,
-                 static_cast<int>(shards[s].pid),
-                 static_cast<unsigned>(shards[s].port));
-  }
-
-  std::vector<std::string> router_args = source_args;
-  router_args.push_back("--shards=" + endpoints);
-  router_args.push_back("--ring-seed=0");
-  router_args.push_back("--port=0");
-  router_args.push_back("--down-after=2");
-  router_args.push_back("--retry-ms=200");
-  Child router_child = Spawn(router, router_args);
-  std::fprintf(stderr, "router pid %d port %u\n",
-               static_cast<int>(router_child.pid),
-               static_cast<unsigned>(router_child.port));
-
-  if (RunOracleRound(router_child.port, oracle, dims, "oracle")) {
-    std::fprintf(stderr, "PASS oracle round\n");
-  }
-  if (RunInsertRound(router_child.port, &oracle, dims)) {
-    std::fprintf(stderr, "PASS insert round\n");
-  }
-  if (g_failures == 0 &&
-      RunOracleRound(router_child.port, oracle, dims, "post-insert")) {
-    std::fprintf(stderr, "PASS post-insert oracle round\n");
-  }
-  constexpr size_t kVictim = 1;
-  if (g_failures == 0 &&
-      RunDegradationRound(router_child.port, &shards[kVictim], kVictim,
-                          oracle, ring, dims)) {
-    std::fprintf(stderr, "PASS degradation round\n");
-  }
-  if (g_failures == 0) {
-    // Respawn on the old port so the router's configured endpoint revives.
-    std::vector<std::string> respawn_args = shard_args[kVictim];
-    respawn_args.back() = "--port=" + std::to_string(shards[kVictim].port);
-    const uint16_t old_port = shards[kVictim].port;
-    if (RunRecoveryRound(router_child.port, serve, respawn_args,
-                         &shards[kVictim], oracle, dims)) {
-      std::fprintf(stderr, "PASS recovery round (shard back on port %u)\n",
-                   static_cast<unsigned>(old_port));
+  Cluster cluster;
+  if (StartCluster(config, replicated, &cluster)) {
+    if (replicated) {
+      RunReplicationRounds(config, &cluster, &oracle, ring);
+    } else {
+      RunShardRounds(config, &cluster, &oracle, ring);
     }
   }
-
-  kill(router_child.pid, SIGTERM);
-  Reap(&router_child);
-  for (Child& shard : shards) {
-    if (shard.pid > 0) kill(shard.pid, SIGTERM);
-    Reap(&shard);
-  }
-
-  if (g_failures > 0) {
-    std::fprintf(stderr, "skycube_shardtest: %d failure(s)\n", g_failures);
-    return 1;
-  }
-  std::fprintf(stderr, "skycube_shardtest: all rounds passed\n");
-  return 0;
+  StopCluster(&cluster);
+  return harness::Report(replicated ? "skycube_shardtest --replication"
+                                    : "skycube_shardtest");
 }
 
 }  // namespace
