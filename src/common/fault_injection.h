@@ -9,7 +9,7 @@
 // of the same name; default follows SKYCUBE_BUILD_TESTS). With injection
 // compiled in, a test arms a point by name:
 //
-//     FaultInjection::Instance().ArmFailure("rebuilder.build", /*count=*/3);
+//     FaultInjection::Instance().ArmFailure("serialization.load", 3);
 //     FaultInjection::Instance().ArmDelay("service.compute_delay", 50);
 //
 // and the next `count` traversals of that point take the failure (or sleep)

@@ -4,8 +4,7 @@
 // A down-marked shard used to be probed every fixed retry_after_millis; a
 // long outage then costs one doomed connect per interval per backend, and
 // a fleet of routers probes in lock-step. This class replaces the fixed
-// interval with jittered exponential backoff using the exact policy of
-// CubeRebuilder (service/cube_rebuilder.h): delays start at
+// interval with jittered exponential backoff: delays start at
 // `initial_millis`, grow by `multiplier` up to `max_millis`, each sleep is
 // scaled by U[1 - jitter, 1 + jitter] to decorrelate probe storms, and a
 // single success fully resets the schedule.
@@ -25,8 +24,7 @@
 
 namespace skycube::router {
 
-/// Jittered exponential backoff between probes of a down shard, the same
-/// schedule shape as CubeRebuilder's retries.
+/// Jittered exponential backoff between probes of a down shard.
 struct ProbeBackoffOptions {
   int64_t initial_millis = 100;
   int64_t max_millis = 30000;

@@ -16,10 +16,9 @@
 //
 // Failure policy: after down_after_failures consecutive transport failures
 // the shard is considered down and Start refuses immediately; probe calls
-// are let through on a jittered exponential-backoff schedule (ProbeBackoff,
-// matching CubeRebuilder's retry policy: probe.initial_millis doubling up
-// to probe.max_millis, ±20% jitter), and a single success fully revives the
-// shard and resets the schedule.
+// are let through on a jittered exponential-backoff schedule (ProbeBackoff:
+// probe.initial_millis doubling up to probe.max_millis, ±20% jitter), and a
+// single success fully revives the shard and resets the schedule.
 #ifndef SKYCUBE_ROUTER_REMOTE_BACKEND_H_
 #define SKYCUBE_ROUTER_REMOTE_BACKEND_H_
 

@@ -60,7 +60,7 @@ SkycubeService::SkycubeService(
   auto snap = std::make_shared<Snapshot>();
   snap->cube = std::move(cube);
   snap->version = 1;
-  snapshot_.store(snap, std::memory_order_release);
+  snapshot_ = snap;
   RetainSnapshot(std::move(snap));
 }
 
@@ -497,13 +497,14 @@ void SkycubeService::Reload(
   SKYCUBE_CHECK_MSG(cube != nullptr, "Reload needs a cube");
   auto next = std::make_shared<Snapshot>();
   next->cube = std::move(cube);
-  std::shared_ptr<const Snapshot> current =
-      snapshot_.load(std::memory_order_acquire);
-  do {
-    next->version = current->version + 1;
-  } while (!snapshot_.compare_exchange_weak(current, next,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire));
+  std::shared_ptr<const Snapshot> previous;
+  {
+    MutexLock lock(&snapshot_mu_);
+    next->version = snapshot_->version + 1;
+    previous = std::exchange(snapshot_, next);
+  }
+  // `previous` is released at return, outside snapshot_mu_: a cube
+  // destructor never runs under the lock readers take.
   snapshot_swaps_.fetch_add(1, std::memory_order_relaxed);
   // Version-keyed entries of the old snapshot can never be served again;
   // Clear() just releases their memory promptly.

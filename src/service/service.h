@@ -2,11 +2,11 @@
 // immutable CompressedSkylineCube snapshot.
 //
 // Architecture (docs/SERVICE.md):
-//  - the cube lives behind std::atomic<std::shared_ptr<const Snapshot>>;
-//    readers load the pointer once per query and keep the snapshot alive
-//    for the duration — Reload() swaps the pointer and never blocks
-//    readers, so a query overlapping a swap is answered consistently by
-//    exactly one of the two snapshots (its version says which);
+//  - the cube lives behind a shared_ptr<const Snapshot> guarded by a
+//    mutex held only to copy or swap the pointer; readers copy it once
+//    per query and keep the snapshot alive for the duration, so a query
+//    overlapping a Reload() is answered consistently by exactly one of the
+//    two snapshots (its version says which);
 //  - answers are memoized in a sharded LRU ResultCache keyed by
 //    (kind, subspace, object, snapshot_version); keying by version makes a
 //    swap an implicit whole-cache invalidation (Clear() just reclaims the
@@ -99,7 +99,8 @@ class SkycubeService : public QueryExecutor {
   /// Atomically replaces the served snapshot (version + 1) and invalidates
   /// the result cache. In-flight queries finish against whichever snapshot
   /// they loaded; new queries see `cube`.
-  void Reload(std::shared_ptr<const CompressedSkylineCube> cube);
+  void Reload(std::shared_ptr<const CompressedSkylineCube> cube)
+      EXCLUDES(snapshot_mu_);
 
   /// Enables kInsert/kDelete requests (disabled by default: they answer
   /// kInvalidArgument on a read-only service). `handler` is not owned and
@@ -143,8 +144,10 @@ class SkycubeService : public QueryExecutor {
     uint64_t version = 0;
   };
 
-  std::shared_ptr<const Snapshot> LoadSnapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+  std::shared_ptr<const Snapshot> LoadSnapshot() const
+      EXCLUDES(snapshot_mu_) {
+    MutexLock lock(&snapshot_mu_);
+    return snapshot_;
   }
 
   /// nullptr if `request` is well-formed for `cube`, else the error text.
@@ -198,7 +201,10 @@ class SkycubeService : public QueryExecutor {
   ThreadPool& BatchPool();
 
   SkycubeServiceOptions options_;
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  // Held only to copy or swap the pointer, never across a query or a
+  // cube destructor.
+  mutable Mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_ GUARDED_BY(snapshot_mu_);
   ResultCache cache_;
 
   std::atomic<uint64_t> snapshot_swaps_{0};

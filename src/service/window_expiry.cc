@@ -1,6 +1,8 @@
 #include "service/window_expiry.h"
 
 #include <chrono>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -16,9 +18,6 @@ uint64_t SystemNowMs() {
           .count());
 }
 
-/// Retry behavior of a failed pass: the CubeRebuilder defaults.
-constexpr CubeRebuilderOptions kPassRetry{};
-
 }  // namespace
 
 WindowExpiry::WindowExpiry(SkycubeService* service,
@@ -27,11 +26,7 @@ WindowExpiry::WindowExpiry(SkycubeService* service,
       options_(options),
       clock_(clock ? std::move(clock) : Clock(SystemNowMs)) {
   SKYCUBE_CHECK_MSG(service_ != nullptr, "WindowExpiry needs a service");
-  runner_ = std::make_unique<CubeRebuilder>([this] { return RunPass(); },
-                                            kPassRetry);
-  if (options_.window_ms > 0 && options_.interval.count() > 0) {
-    timer_ = std::thread([this] { TimerLoop(); });
-  }
+  thread_ = std::thread([this] { Loop(); });
 }
 
 WindowExpiry::~WindowExpiry() {
@@ -39,28 +34,27 @@ WindowExpiry::~WindowExpiry() {
     MutexLock lock(&mu_);
     shutting_down_ = true;
   }
-  cv_.NotifyAll();
-  if (timer_.joinable()) timer_.join();
-  runner_.reset();  // joins the pass worker
+  wake_cv_.NotifyAll();
+  thread_.join();
 }
 
 void WindowExpiry::TickAt(uint64_t cutoff_ms) {
-  // Monotone cutoffs: the window only slides forward, and a coalesced pass
-  // must never run with an older cutoff than one already requested.
-  uint64_t current = cutoff_ms_.load(std::memory_order_relaxed);
-  while (cutoff_ms > current && !cutoff_ms_.compare_exchange_weak(
-                                    current, cutoff_ms,
-                                    std::memory_order_relaxed)) {
-  }
   {
     MutexLock lock(&mu_);
-    ++stats_.ticks;
+    TickLocked(cutoff_ms);
   }
-  runner_->TriggerRebuild();
+  wake_cv_.NotifyAll();
 }
 
 bool WindowExpiry::WaitUntilIdle(std::chrono::milliseconds timeout) {
-  return runner_->WaitUntilIdle(timeout);
+  const auto give_up = std::chrono::steady_clock::now() + timeout;
+  MutexLock lock(&mu_);
+  while (pending_ || running_) {
+    if (!idle_cv_.WaitUntil(&mu_, give_up) && (pending_ || running_)) {
+      return false;  // timed out still busy
+    }
+  }
+  return true;
 }
 
 WindowExpiryStats WindowExpiry::stats() const {
@@ -68,42 +62,67 @@ WindowExpiryStats WindowExpiry::stats() const {
   return stats_;
 }
 
-Status WindowExpiry::RunPass() {
-  const uint64_t cutoff = cutoff_ms_.load(std::memory_order_relaxed);
-  if (cutoff == 0) return Status::Ok();  // nothing requested yet
-  Result<uint64_t> expired = service_->ApplyExpiry(cutoff);
-  MutexLock lock(&mu_);
-  if (!expired.ok()) {
-    ++stats_.passes_failed;
-    return expired.status();
-  }
-  ++stats_.passes_ok;
-  stats_.rows_expired += expired.value();
-  stats_.last_cutoff_ms = cutoff;
-  return Status::Ok();
+void WindowExpiry::TickLocked(uint64_t cutoff_ms) {
+  ++stats_.ticks;
+  // The window only slides forward: a folded pass must never run at an
+  // older cutoff than one already requested.
+  if (cutoff_ms > cutoff_ms_) cutoff_ms_ = cutoff_ms;
+  if (cutoff_ms_ > 0) pending_ = true;  // a zero cutoff expires nothing
 }
 
-void WindowExpiry::TimerLoop() {
-  MutexLock lock(&mu_);
-  while (!shutting_down_) {
-    const auto wake = std::chrono::steady_clock::now() + options_.interval;
-    while (!shutting_down_ && cv_.WaitUntil(&mu_, wake)) {
-      // Notified (or spurious) before the period elapsed: keep waiting
-      // unless shutdown was requested.
-    }
-    if (shutting_down_) break;
-    const uint64_t now = clock_();
-    if (now <= options_.window_ms) continue;  // window covers all of time
-    const uint64_t cutoff = now - options_.window_ms;
-    // Inline TickAt minus the lock (already held for stats_).
-    uint64_t current = cutoff_ms_.load(std::memory_order_relaxed);
-    while (cutoff > current && !cutoff_ms_.compare_exchange_weak(
-                                   current, cutoff,
-                                   std::memory_order_relaxed)) {
-    }
-    ++stats_.ticks;
-    runner_->TriggerRebuild();
+Result<uint64_t> WindowExpiry::RunPass(uint64_t cutoff_ms) {
+  // A handler may throw (allocation, a bad refresh): contain it so a pass
+  // can never unwind through the pass thread.
+  try {
+    return service_->ApplyExpiry(cutoff_ms);
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("expiry pass threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("expiry pass threw an unknown exception");
   }
+}
+
+void WindowExpiry::Loop() {
+  const bool timed = options_.window_ms > 0 && options_.interval.count() > 0;
+  auto next_tick = std::chrono::steady_clock::now() + options_.interval;
+  mu_.Lock();
+  while (!shutting_down_) {
+    if (timed && std::chrono::steady_clock::now() >= next_tick) {
+      next_tick = std::chrono::steady_clock::now() + options_.interval;
+      mu_.Unlock();
+      const uint64_t now = clock_();  // caller-supplied: called unlocked
+      mu_.Lock();
+      if (now > options_.window_ms) TickLocked(now - options_.window_ms);
+      continue;  // re-check shutdown before starting a pass
+    }
+    if (!pending_) {
+      if (timed) {
+        wake_cv_.WaitUntil(&mu_, next_tick);
+      } else {
+        wake_cv_.Wait(&mu_);
+      }
+      continue;  // re-check shutdown, the timer and pending_
+    }
+    pending_ = false;
+    running_ = true;
+    const uint64_t cutoff = cutoff_ms_;
+    // The pass runs unlocked: TickAt and stats() never wait behind
+    // ApplyExpiry. Ticks landing meanwhile set pending_ again and fold
+    // into one follow-up pass at the furthest cutoff.
+    mu_.Unlock();
+    const Result<uint64_t> expired = RunPass(cutoff);
+    mu_.Lock();
+    running_ = false;
+    if (expired.ok()) {
+      ++stats_.passes_ok;
+      stats_.rows_expired += expired.value();
+      stats_.last_cutoff_ms = cutoff;
+    } else {
+      ++stats_.passes_failed;
+    }
+    idle_cv_.NotifyAll();
+  }
+  mu_.Unlock();
 }
 
 }  // namespace skycube

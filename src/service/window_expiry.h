@@ -1,11 +1,12 @@
 // WindowExpiry: sliding-window retention as a background pass.
 //
-// A timer thread computes the expiry cutoff (now - window_ms) every
-// `interval` and triggers one expiry pass through a CubeRebuilder worker —
-// reusing its coalescing and backoff machinery, so a pass that fails (WAL
-// error, fault injection) retries with exponential backoff while the
-// service keeps answering from the last good snapshot, and ticks arriving
-// while a pass runs fold into a single follow-up pass.
+// One thread owned by the WindowExpiry runs every pass. It wakes on a
+// TickAt, on each `interval` when window_ms > 0 (the cutoff is then
+// clock() - window_ms), or on shutdown. Cutoffs only move forward, and
+// ticks that land while a pass runs fold into one follow-up pass at the
+// furthest cutoff. A pass that fails (WAL error, a throwing handler) is
+// counted and retried by the next timer tick or TickAt, while the service
+// keeps answering from its last good snapshot.
 //
 // The pass itself is SkycubeService::ApplyExpiry: it serializes with
 // inserts and deletes under the service's ingest mutex, logs one delete
@@ -15,16 +16,14 @@
 #ifndef SKYCUBE_SERVICE_WINDOW_EXPIRY_H_
 #define SKYCUBE_SERVICE_WINDOW_EXPIRY_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 
 #include "common/mutex.h"
 #include "common/status.h"
-#include "service/cube_rebuilder.h"
+#include "common/thread_annotations.h"
 #include "service/service.h"
 
 namespace skycube {
@@ -43,7 +42,7 @@ struct WindowExpiryOptions {
 struct WindowExpiryStats {
   uint64_t ticks = 0;          // timer firings + manual TickAt calls
   uint64_t passes_ok = 0;      // ApplyExpiry calls that returned OK
-  uint64_t passes_failed = 0;  // ApplyExpiry calls that returned an error
+  uint64_t passes_failed = 0;  // ApplyExpiry calls that failed or threw
   uint64_t rows_expired = 0;   // cumulative rows tombstoned by this timer
   uint64_t last_cutoff_ms = 0;
 };
@@ -55,47 +54,52 @@ class WindowExpiry {
   using Clock = std::function<uint64_t()>;
 
   /// `service` must outlive this object and have an insert handler
-  /// attached. The timer starts immediately when window_ms > 0.
+  /// attached. The pass thread starts here; its timer runs only when
+  /// window_ms > 0 and interval > 0.
   WindowExpiry(SkycubeService* service, WindowExpiryOptions options,
                Clock clock = {});
 
-  /// Stops the timer and the worker; a pass in flight finishes.
+  /// Stops and joins the pass thread; a pass in flight finishes first.
   ~WindowExpiry();
 
   WindowExpiry(const WindowExpiry&) = delete;
   WindowExpiry& operator=(const WindowExpiry&) = delete;
 
   /// Schedules one pass with an explicit cutoff (bypasses the clock and
-  /// window). Returns immediately; the pass runs on the worker.
-  void TickAt(uint64_t cutoff_ms);
+  /// window). Returns immediately; the pass runs on the pass thread.
+  void TickAt(uint64_t cutoff_ms) EXCLUDES(mu_);
 
   /// Blocks until no pass is running or pending, or until `timeout`.
-  bool WaitUntilIdle(std::chrono::milliseconds timeout);
+  /// Returns true iff the thread went idle in time.
+  bool WaitUntilIdle(std::chrono::milliseconds timeout) EXCLUDES(mu_);
 
-  WindowExpiryStats stats() const;
+  WindowExpiryStats stats() const EXCLUDES(mu_);
 
  private:
-  void TimerLoop();
-  /// The CubeRebuilder job: one ApplyExpiry pass at the latest cutoff.
-  Status RunPass();
+  /// The pass thread's body: waits for a tick, the timer or shutdown, and
+  /// runs each pass with mu_ released.
+  void Loop() EXCLUDES(mu_);
+  /// Counts one tick and raises the pending cutoff to `cutoff_ms`.
+  void TickLocked(uint64_t cutoff_ms) REQUIRES(mu_);
+  /// One ApplyExpiry call; a thrown exception becomes an error.
+  Result<uint64_t> RunPass(uint64_t cutoff_ms);
 
   SkycubeService* service_;
   WindowExpiryOptions options_;
   Clock clock_;
 
-  /// Latest requested cutoff; the coalesced pass always reads the freshest
-  /// value, so folded ticks lose nothing.
-  std::atomic<uint64_t> cutoff_ms_{0};
-
   mutable Mutex mu_;
-  CondVar cv_;  // wakes the timer (shutdown)
+  CondVar wake_cv_;  // wakes the pass thread (tick, shutdown)
+  CondVar idle_cv_;  // wakes WaitUntilIdle waiters
+  /// Furthest requested cutoff; the next pass runs at it, so folded ticks
+  /// lose nothing.
+  uint64_t cutoff_ms_ GUARDED_BY(mu_) = 0;
+  bool pending_ GUARDED_BY(mu_) = false;
+  bool running_ GUARDED_BY(mu_) = false;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   WindowExpiryStats stats_ GUARDED_BY(mu_);
 
-  /// Worker that runs the passes; constructed before timer_ so a tick can
-  /// never observe a null runner.
-  std::unique_ptr<CubeRebuilder> runner_;
-  std::thread timer_;
+  std::thread thread_;  // last: it uses every member above
 };
 
 }  // namespace skycube

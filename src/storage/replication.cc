@@ -224,35 +224,6 @@ Status WipeDurableState(const std::string& dir) {
   return Status::Ok();
 }
 
-Status RewindDurableState(const std::string& dir, uint64_t fence_lsn) {
-  bool has_base = false;
-  for (uint64_t lsn : ListCheckpoints(dir)) {
-    if (lsn <= fence_lsn) {
-      has_base = true;
-      continue;
-    }
-    const std::string path = dir + "/" + CheckpointFileName(lsn);
-    std::error_code ec;
-    if (!std::filesystem::remove(path, ec)) {
-      return Status::Internal("cannot remove checkpoint: " + path);
-    }
-  }
-  const uint64_t oldest = WalOldestStart(dir);
-  if (!has_base && (oldest == 0 || oldest > 1)) {
-    return Status::InvalidArgument(
-        "rewind would lose the base state: no checkpoint at or below the "
-        "fence and the WAL does not reach back to LSN 1");
-  }
-  if (Status synced = SyncDir(dir); !synced.ok()) return synced;
-  // Opening the WAL at fence + 1 physically truncates everything beyond
-  // the fence; the handle is closed immediately — the caller reopens the
-  // directory through DurableIngest::Open.
-  Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(dir, fence_lsn + 1);
-  if (!wal.ok()) return wal.status();
-  return Status::Ok();
-}
-
 // --- WalFollower ----------------------------------------------------------
 
 namespace {

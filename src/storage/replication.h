@@ -22,9 +22,7 @@
 // client-acked write can sit above any previously observed LSN (acks only
 // require *some* follower ack), so cutting to the fence could lose acked
 // data. The replica promotes at its own applied tip, a superset of every
-// acked write (acked ⊆ replica-applied by the fencing order). The
-// RewindDurableState utility below does truncate, for offline rollback
-// and tests — never on the live promotion path.
+// acked write (acked ⊆ replica-applied by the fencing order).
 #ifndef SKYCUBE_STORAGE_REPLICATION_H_
 #define SKYCUBE_STORAGE_REPLICATION_H_
 
@@ -176,15 +174,6 @@ class DirReplicationSource : public ReplicationSource {
 /// durable suffix the promoted primary never had, and that divergent tail
 /// must not survive into the new lineage.
 Status WipeDurableState(const std::string& dir);
-
-/// Discards every checkpoint and WAL record beyond `fence_lsn` in `dir`,
-/// so a subsequent DurableIngest::Open recovers exactly the fenced prefix.
-/// An offline rollback utility (tests, manual surgery) — live promotion
-/// never truncates (see the file header: the fence is a floor). Refuses
-/// (kInvalidArgument) when no checkpoint at or below the fence survives
-/// and the WAL does not reach back to LSN 1 — rewinding would lose the
-/// base state.
-Status RewindDurableState(const std::string& dir, uint64_t fence_lsn);
 
 struct WalFollowerOptions {
   /// Minimum pause between fetches once caught up. Zero fetches again

@@ -45,7 +45,7 @@ namespace skycube {
 enum class FsyncPolicy {
   kEveryRecord,  // sync before Append returns; an ack is never lost
   kEveryN,       // sync every fsync_every_n records
-  kInterval,     // sync when fsync_interval elapsed since the last sync
+  kInterval,     // sync on an Append once fsync_interval has elapsed
 };
 
 /// Parses "always" / "every" / "timer" (the --fsync-policy spellings);
@@ -56,7 +56,11 @@ struct WalOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryRecord;
   /// Records between syncs under kEveryN.
   int fsync_every_n = 64;
-  /// Maximum un-synced age under kInterval (checked at append time).
+  /// Under kInterval, an Append syncs once this long has passed since the
+  /// last sync. Nothing syncs between appends: a log that goes quiet keeps
+  /// its unsynced tail until the next Append, a segment rotation or a
+  /// Sync() (DurableIngest calls it before a checkpoint and on Drain), so
+  /// this bounds how often the log syncs, not how long a record waits.
   std::chrono::milliseconds fsync_interval{5};
   /// Rotate to a new segment once the active one reaches this size.
   size_t segment_bytes = 4u << 20;

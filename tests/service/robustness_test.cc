@@ -1,10 +1,10 @@
-// Fault-tolerance behaviour of SkycubeService and CubeRebuilder, exercised
-// end-to-end through the fault-injection registry: deadline propagation,
-// admission control under saturation, per-item batch failure containment,
-// a batch whose pool refuses every helper, resilient background rebuilds,
-// and a TSan-targeted stress mix of all of the above. Test names start with
-// "SkycubeService" so the CI sanitizer matrix (-R "...|SkycubeService")
-// picks them up.
+// Fault-tolerance behaviour of SkycubeService, exercised end-to-end
+// through the fault-injection registry: deadline propagation, admission
+// control under saturation, per-item batch failure containment, a batch
+// whose pool refuses every helper, and a TSan-targeted stress mix of all
+// of the above. Test names start with "SkycubeService" so the CI sanitizer
+// matrix (-R "...|SkycubeService") picks them up; they arm fault points,
+// so CI's faults-off-release job, which compiles them out, leaves them out.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include "core/stellar.h"
 #include "datagen/synthetic.h"
 #include "dataset/dataset.h"
-#include "service/cube_rebuilder.h"
 #include "service/service.h"
 
 namespace skycube {
@@ -320,106 +319,6 @@ TEST_F(SkycubeServiceRobustnessTest, SurvivesCacheLookupAndInsertFaults) {
   const QueryResponse warm = service.Execute(request);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(*warm.ids, expected);
-}
-
-// --- Resilient reload ------------------------------------------------------
-
-TEST_F(SkycubeServiceRobustnessTest, RebuilderBacksOffThenSwapsIn) {
-  const Dataset data = MakeData(100, 4, 23);
-  const Dataset next_data = MakeData(120, 4, 29);
-  SkycubeService service(MakeCube(data));
-  const uint64_t baseline = service.snapshot()->num_objects();
-
-  CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(5);
-  options.max_backoff = std::chrono::milliseconds(20);
-  CubeRebuilder rebuilder(
-      &service, [&] { return Result(MakeCube(next_data)); }, options);
-
-  // The first 3 build attempts fail; the service must keep serving the old
-  // snapshot (version 1) throughout, then swap exactly once.
-  FaultInjection::Instance().ArmFailure("rebuilder.build", 3);
-  rebuilder.TriggerRebuild();
-  // While the rebuilder is failing and backing off, queries answer from the
-  // last good snapshot.
-  while (!rebuilder.WaitUntilIdle(std::chrono::milliseconds(1))) {
-    const QueryResponse response =
-        service.Execute(QueryRequest::SkylineCardinality(1));
-    EXPECT_TRUE(response.ok);
-    // A version-1 answer can only have come from the original cube.
-    if (response.snapshot_version == 1 && response.count > 0) {
-      EXPECT_LE(response.count, baseline);
-    }
-  }
-  ASSERT_TRUE(rebuilder.WaitUntilIdle(std::chrono::milliseconds(5000)));
-  EXPECT_EQ(service.snapshot_version(), 2u);
-  EXPECT_EQ(service.snapshot()->num_objects(), next_data.num_objects());
-  const CubeRebuilderStats stats = rebuilder.stats();
-  EXPECT_EQ(stats.builds_attempted, 4u);
-  EXPECT_EQ(stats.builds_failed, 3u);
-  EXPECT_EQ(stats.builds_succeeded, 1u);
-  EXPECT_EQ(stats.gave_up, 0u);
-}
-
-TEST_F(SkycubeServiceRobustnessTest, RebuilderNeverSwapsInABrokenCube) {
-  const Dataset data = MakeData(100, 4, 23);
-  SkycubeService service(MakeCube(data));
-
-  CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(2);
-  options.max_attempts = 3;  // give up instead of retrying forever
-  CubeRebuilder rebuilder(
-      &service,
-      []() -> Result<std::shared_ptr<const CompressedSkylineCube>> {
-        return Status::Internal("refresh source is corrupt");
-      },
-      options);
-  rebuilder.TriggerRebuild();
-  ASSERT_TRUE(rebuilder.WaitUntilIdle(std::chrono::milliseconds(5000)));
-  // Every attempt failed: no swap, still serving snapshot 1.
-  EXPECT_EQ(service.snapshot_version(), 1u);
-  EXPECT_TRUE(service.Execute(QueryRequest::SkylineCardinality(1)).ok);
-  const CubeRebuilderStats stats = rebuilder.stats();
-  EXPECT_EQ(stats.builds_attempted, 3u);
-  EXPECT_EQ(stats.builds_failed, 3u);
-  EXPECT_EQ(stats.builds_succeeded, 0u);
-  EXPECT_EQ(stats.gave_up, 1u);
-}
-
-TEST_F(SkycubeServiceRobustnessTest, RebuilderContainsAThrowingBuilder) {
-  const Dataset data = MakeData(50, 4, 23);
-  SkycubeService service(MakeCube(data));
-  CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(1);
-  options.max_attempts = 2;
-  CubeRebuilder rebuilder(
-      &service,
-      []() -> Result<std::shared_ptr<const CompressedSkylineCube>> {
-        throw std::runtime_error("loader exploded");
-      },
-      options);
-  rebuilder.TriggerRebuild();
-  ASSERT_TRUE(rebuilder.WaitUntilIdle(std::chrono::milliseconds(5000)));
-  EXPECT_EQ(service.snapshot_version(), 1u);
-  EXPECT_EQ(rebuilder.stats().builds_failed, 2u);
-}
-
-TEST_F(SkycubeServiceRobustnessTest, RebuilderRejectsNullCube) {
-  const Dataset data = MakeData(50, 4, 23);
-  SkycubeService service(MakeCube(data));
-  CubeRebuilderOptions options;
-  options.initial_backoff = std::chrono::milliseconds(1);
-  options.max_attempts = 1;
-  CubeRebuilder rebuilder(
-      &service,
-      []() -> Result<std::shared_ptr<const CompressedSkylineCube>> {
-        return std::shared_ptr<const CompressedSkylineCube>();
-      },
-      options);
-  rebuilder.TriggerRebuild();
-  ASSERT_TRUE(rebuilder.WaitUntilIdle(std::chrono::milliseconds(5000)));
-  EXPECT_EQ(service.snapshot_version(), 1u);
-  EXPECT_EQ(rebuilder.stats().builds_failed, 1u);
 }
 
 // --- Stress: deadlines + sheds + reloads under TSan ------------------------

@@ -1,13 +1,20 @@
 // WindowExpiry behaviour: the sliding-window pass with an injected clock
-// (deterministic cutoffs, no real sleeps for correctness), failure retry
-// through the CubeRebuilder, and — the case TSan exists for — an expiry
-// timer racing concurrent queries and inserts without a data race or a
-// stale answer labeled with a fresh version.
+// (deterministic cutoffs, no real sleeps for correctness); a failing or
+// throwing pass that leaves the snapshot serving and is retried by the next
+// tick; ticks folding into one follow-up pass at the furthest cutoff; and —
+// the case TSan exists for — an expiry timer racing concurrent queries and
+// inserts without a data race or a stale answer labeled with a fresh
+// version. The failure cases script the insert handler rather than arm a
+// fault point, so they also run with fault injection compiled out.
 #include "service/window_expiry.h"
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -53,6 +60,73 @@ struct Harness {
   IncrementalCubeMaintainer maintainer;
   MaintainerInsertHandler handler;
   std::unique_ptr<SkycubeService> service;
+};
+
+/// Forwards every mutation to the harness's handler, except that
+/// ApplyExpire can be made to fail, throw, or block until Release(). It
+/// records the cutoff of every ApplyExpire call.
+class ScriptedExpireHandler : public InsertHandler {
+ public:
+  enum class Mode { kForward, kFail, kThrow, kBlockOnce };
+
+  explicit ScriptedExpireHandler(InsertHandler* inner) : inner_(inner) {}
+
+  Result<Applied> ApplyInsert(const std::vector<double>& values,
+                              uint64_t timestamp_ms) override {
+    return inner_->ApplyInsert(values, timestamp_ms);
+  }
+  Result<Applied> ApplyDelete(ObjectId id) override {
+    return inner_->ApplyDelete(id);
+  }
+  Result<Applied> ApplyExpire(uint64_t cutoff_ms) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cutoffs_.push_back(cutoff_ms);
+    switch (mode_) {
+      case Mode::kForward:
+        break;
+      case Mode::kFail:
+        return Status::Unavailable("scripted expiry failure");
+      case Mode::kThrow:
+        throw std::runtime_error("scripted expiry throw");
+      case Mode::kBlockOnce:
+        mode_ = Mode::kForward;
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        break;
+    }
+    lock.unlock();
+    return inner_->ApplyExpire(cutoff_ms);
+  }
+  int num_dims() const override { return inner_->num_dims(); }
+
+  void SetMode(Mode mode) {
+    std::lock_guard<std::mutex> lock(mu_);
+    mode_ = mode;
+  }
+  /// Waits until a kBlockOnce pass is blocked inside ApplyExpire.
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  std::vector<uint64_t> cutoffs() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return cutoffs_;
+  }
+
+ private:
+  InsertHandler* inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Mode mode_ = Mode::kForward;
+  bool entered_ = false;
+  bool released_ = false;
+  std::vector<uint64_t> cutoffs_;
 };
 
 TEST(WindowExpiryTest, ManualTickExpiresExactlyTheWindow) {
@@ -114,6 +188,115 @@ TEST(WindowExpiryTest, TimerSlidesTheWindowWithTheClock) {
   EXPECT_EQ(expiry.stats().rows_expired, 1u);
   EXPECT_FALSE(harness.maintainer.IsLive(30));
   EXPECT_GT(expiry.stats().ticks, 0u);
+}
+
+TEST(WindowExpiryTest, FailedPassKeepsServingAndTheNextTickRetries) {
+  Harness harness(MakeData(40, 3, 3));
+  ASSERT_TRUE(harness.service->Execute(QueryRequest::Insert({0.3, 0.3, 0.3}))
+                  .ok);  // stamped 1000
+  ScriptedExpireHandler scripted(&harness.handler);
+  harness.service->AttachInsertHandler(&scripted);
+  const uint64_t version = harness.service->snapshot_version();
+
+  WindowExpiry expiry(harness.service.get(), WindowExpiryOptions{},
+                      [&harness] { return harness.now_ms.load(); });
+  scripted.SetMode(ScriptedExpireHandler::Mode::kFail);
+  expiry.TickAt(1500);
+  ASSERT_TRUE(expiry.WaitUntilIdle(std::chrono::milliseconds(5000)));
+  WindowExpiryStats stats = expiry.stats();
+  EXPECT_EQ(stats.passes_failed, 1u);
+  EXPECT_EQ(stats.passes_ok, 0u);
+  EXPECT_EQ(stats.rows_expired, 0u);
+  EXPECT_EQ(stats.last_cutoff_ms, 0u);
+  // The failed pass published nothing: the last snapshot keeps serving.
+  EXPECT_EQ(harness.service->snapshot_version(), version);
+  EXPECT_TRUE(harness.maintainer.IsLive(40));
+  const QueryResponse sky =
+      harness.service->Execute(QueryRequest::SubspaceSkyline(0b111));
+  ASSERT_TRUE(sky.ok);
+  EXPECT_EQ(sky.snapshot_version, version);
+
+  // The handler recovers: the next tick runs the pass that failed.
+  scripted.SetMode(ScriptedExpireHandler::Mode::kForward);
+  expiry.TickAt(1500);
+  ASSERT_TRUE(expiry.WaitUntilIdle(std::chrono::milliseconds(5000)));
+  stats = expiry.stats();
+  EXPECT_EQ(stats.ticks, 2u);
+  EXPECT_EQ(stats.passes_failed, 1u);
+  EXPECT_EQ(stats.passes_ok, 1u);
+  EXPECT_EQ(stats.rows_expired, 1u);
+  EXPECT_EQ(stats.last_cutoff_ms, 1500u);
+  EXPECT_FALSE(harness.maintainer.IsLive(40));
+  EXPECT_EQ(harness.service->snapshot_version(), version + 1);
+}
+
+TEST(WindowExpiryTest, ThrowingPassIsCountedAndTheThreadSurvives) {
+  Harness harness(MakeData(40, 3, 5));
+  ASSERT_TRUE(harness.service->Execute(QueryRequest::Insert({0.3, 0.3, 0.3}))
+                  .ok);  // stamped 1000
+  ScriptedExpireHandler scripted(&harness.handler);
+  harness.service->AttachInsertHandler(&scripted);
+  const uint64_t version = harness.service->snapshot_version();
+
+  WindowExpiry expiry(harness.service.get(), WindowExpiryOptions{},
+                      [&harness] { return harness.now_ms.load(); });
+  scripted.SetMode(ScriptedExpireHandler::Mode::kThrow);
+  expiry.TickAt(1500);
+  ASSERT_TRUE(expiry.WaitUntilIdle(std::chrono::milliseconds(5000)));
+  EXPECT_EQ(expiry.stats().passes_failed, 1u);
+  EXPECT_EQ(expiry.stats().passes_ok, 0u);
+  EXPECT_EQ(harness.service->snapshot_version(), version);
+  // The throw released the service's ingest lock: inserts still apply.
+  harness.now_ms = 2000;
+  ASSERT_TRUE(harness.service->Execute(QueryRequest::Insert({0.2, 0.2, 0.2}))
+                  .ok);
+
+  scripted.SetMode(ScriptedExpireHandler::Mode::kForward);
+  expiry.TickAt(2500);
+  ASSERT_TRUE(expiry.WaitUntilIdle(std::chrono::milliseconds(5000)));
+  const WindowExpiryStats stats = expiry.stats();
+  EXPECT_EQ(stats.passes_failed, 1u);
+  EXPECT_EQ(stats.passes_ok, 1u);
+  EXPECT_EQ(stats.rows_expired, 2u);
+  EXPECT_EQ(stats.last_cutoff_ms, 2500u);
+  EXPECT_FALSE(harness.maintainer.IsLive(40));
+  EXPECT_FALSE(harness.maintainer.IsLive(41));
+}
+
+TEST(WindowExpiryTest, TicksDuringAPassFoldIntoOnePassAtTheFurthestCutoff) {
+  Harness harness(MakeData(40, 3, 11));
+  for (int i = 1; i <= 3; ++i) {  // rows 40-42, stamped 1000-3000
+    harness.now_ms = 1000 * i;
+    const double v = 0.1 * i;
+    ASSERT_TRUE(harness.service->Execute(QueryRequest::Insert({v, v, v})).ok);
+  }
+  ScriptedExpireHandler scripted(&harness.handler);
+  harness.service->AttachInsertHandler(&scripted);
+
+  WindowExpiry expiry(harness.service.get(), WindowExpiryOptions{},
+                      [&harness] { return harness.now_ms.load(); });
+  scripted.SetMode(ScriptedExpireHandler::Mode::kBlockOnce);
+  expiry.TickAt(1500);
+  scripted.WaitEntered();  // the first pass is blocked inside ApplyExpire
+  // Cutoffs only move forward: the later 2500 must not pull the folded
+  // pass back from 3500.
+  expiry.TickAt(3500);
+  expiry.TickAt(2500);
+  // Neither tick waits behind the blocked pass, and stats() answers.
+  EXPECT_EQ(expiry.stats().ticks, 3u);
+  EXPECT_EQ(expiry.stats().passes_ok, 0u);
+  EXPECT_FALSE(expiry.WaitUntilIdle(std::chrono::milliseconds(1)));
+  scripted.Release();
+  ASSERT_TRUE(expiry.WaitUntilIdle(std::chrono::milliseconds(5000)));
+
+  EXPECT_EQ(scripted.cutoffs(), (std::vector<uint64_t>{1500, 3500}));
+  const WindowExpiryStats stats = expiry.stats();
+  EXPECT_EQ(stats.ticks, 3u);
+  EXPECT_EQ(stats.passes_ok, 2u);
+  EXPECT_EQ(stats.passes_failed, 0u);
+  EXPECT_EQ(stats.rows_expired, 3u);
+  EXPECT_EQ(stats.last_cutoff_ms, 3500u);
+  EXPECT_EQ(harness.maintainer.num_live(), 40u);
 }
 
 TEST(WindowExpiryTest, ExpiryRacesQueriesAndInserts) {

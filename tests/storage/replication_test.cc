@@ -451,20 +451,5 @@ TEST(ReplicationTest, CoalescedFollowerBatchesFetchesAndStillConverges) {
   EXPECT_EQ(follower->stats().wal.next_lsn, primary->stats().wal.next_lsn);
 }
 
-TEST(ReplicationTest, RewindDurableStateRecoversFencedPrefix) {
-  const std::string dir = FreshDir("repl_rewind");
-  const Dataset bootstrap = MakeData(12, 3, 21);
-  std::unique_ptr<DurableIngest> primary =
-      OpenPrimary(dir, bootstrap, /*inserts=*/6, /*with_delete=*/false);
-  ASSERT_NE(primary, nullptr);
-  primary.reset();
-  ASSERT_TRUE(RewindDurableState(dir, /*fence_lsn=*/4).ok());
-  Result<RecoveredState> recovered = RecoverFromDir(dir);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value().stats.next_lsn, 5u);
-  EXPECT_EQ(recovered.value().maintainer->data().num_objects(),
-            bootstrap.num_objects() + 4);
-}
-
 }  // namespace
 }  // namespace skycube

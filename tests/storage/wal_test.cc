@@ -4,9 +4,12 @@
 // never a silent wrong read).
 #include "storage/wal.h"
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -100,6 +103,22 @@ TEST(WalTest, FsyncPolicies) {
     EXPECT_EQ(read.value().records.size(), 10u);
   }
   EXPECT_FALSE(FsyncPolicyFromName("bogus").ok());
+}
+
+TEST(WalTest, TimerPolicySyncsOnlyWhenAppending) {
+  // The interval is checked at append time; no background thread syncs, so
+  // a quiet log keeps its unsynced tail until the next append.
+  WalOptions options;
+  options.fsync_policy = FsyncPolicy::kInterval;
+  options.fsync_interval = std::chrono::milliseconds(5);
+  auto wal = OpenAt(FreshDir("wal_policy_timer_quiet"), 1, options);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE(wal.value()->Append("first").ok());
+  const uint64_t fsyncs = wal.value()->stats().fsyncs;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(wal.value()->stats().fsyncs, fsyncs);
+  ASSERT_TRUE(wal.value()->Append("second").ok());
+  EXPECT_EQ(wal.value()->stats().fsyncs, fsyncs + 1);
 }
 
 TEST(WalTest, OpenTruncatesBeyondNextLsn) {

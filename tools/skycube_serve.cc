@@ -30,7 +30,10 @@
 //                        are acknowledged only after the WAL append.
 //   --fsync-policy=P     always | every | timer                (default always)
 //   --fsync-every=N      records between syncs under 'every'   (default 64)
-//   --fsync-interval-ms=N max unsynced age under 'timer'       (default 5)
+//   --fsync-interval-ms=N under 'timer', an append syncs once N ms passed
+//                        since the last sync; a quiet log's tail stays
+//                        unsynced until the next append, segment
+//                        rotation, checkpoint or drain         (default 5)
 //   --checkpoint-every=N inserts between checkpoints, 0 = off  (default 256)
 //   --keep-checkpoints=N retention depth                       (default 2)
 // Replication (docs/REPLICATION.md) — socket + --data-dir mode only:
